@@ -23,32 +23,21 @@ deliberately smelly scenario with ``service.lint`` (a redundant STD, a
 residual-forcing target dependency, and a cross-scenario containment hit),
 and ends with the structured ``stats()`` and ``metrics()`` snapshots.
 
-The demo escalates :class:`ServingDeprecationWarning` to an error before it
-does anything — the same policy as the repo's pytest configuration — so any
-use of the deprecated split update API here would crash instead of
-quietly warning.
-
 Migrating from the pre-service API::
 
     registry = ScenarioRegistry()            service = ExchangeService()
     ex = registry.register(n, m, s)          service.register(n, m, s)
     ex.certain_answers(q)                    service.query(n, q).answers
-    ex.add_source_facts(facts)               service.update(n, add=facts)
-    ex.retract_source_facts(facts)           service.update(n, retract=facts)
     add + retract back-to-back               with service.transaction(n) as txn:
                                                  txn.add(...); txn.retract(...)
     ex.cache_stats                           service.stats(n).cache
 """
 
-import warnings
-
 from repro import cq, make_instance, mapping_from_rules
 from repro.chase.dependencies import parse_dependencies
 from repro.obs import FLIGHT_RECORDER, TRACER, AutoRebalance, format_trace
-from repro.serving import ExchangeService, ServingDeprecationWarning
+from repro.serving import ExchangeService
 from repro.workloads.elastic import elastic_workload
-
-warnings.simplefilter("error", ServingDeprecationWarning)
 
 
 def describe(result) -> str:

@@ -66,8 +66,7 @@ Quickstart::
     service.query("conf", query)               # recomputed once, then cached
     service.stats("conf")                      # sizes, cache, lock counters
 
-Migrating from the pre-service API (the old entry points survive as
-deprecated shims, warned via :class:`ServingDeprecationWarning`):
+Migrating from the pre-service API:
 
 ===========================================  ===================================================
 old (per-operation, unguarded)               new (typed, transactional, lock-guarded)
@@ -75,16 +74,13 @@ old (per-operation, unguarded)               new (typed, transactional, lock-gua
 ``registry = ScenarioRegistry()``            ``service = ExchangeService()``
 ``ex = registry.register(n, m, s, deps)``    ``service.register(n, m, s, deps)``
 ``ex.certain_answers(q)``                    ``service.query(n, q).answers``
-``ex.add_source_facts(facts)``               ``service.update(n, add=facts)``
-``ex.retract_source_facts(facts)``           ``service.update(n, retract=facts)``
 add + retract back-to-back                   ``with service.transaction(n) as txn: ...``
 ``ex.cache_stats``                           ``service.stats(n).cache``
 ===========================================  ===================================================
 
 Library code embedding a single-threaded exchange can keep using
 ``ScenarioRegistry``/``MaterializedExchange`` directly — ``apply_delta`` is
-the supported update entry point there; only the split
-``add_source_facts``/``retract_source_facts`` pair is deprecated.
+the update entry point there.
 """
 
 from repro.obs import (
@@ -120,7 +116,6 @@ from repro.serving.materialized import (
     AnswerOutcome,
     AppliedDelta,
     MaterializedExchange,
-    ServingDeprecationWarning,
     ServingError,
     UpdateStats,
 )
@@ -179,7 +174,6 @@ __all__ = [
     "AnswerOutcome",
     "AppliedDelta",
     "MaterializedExchange",
-    "ServingDeprecationWarning",
     "ServingError",
     "UpdateStats",
     "CompiledMapping",

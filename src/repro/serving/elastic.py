@@ -69,8 +69,8 @@ DEFAULT_BUCKETS_PER_WORKER = 16
 def bucket_of_value(value: Any, buckets: int) -> int:
     """The hash bucket of a partition-key value.
 
-    The one hashing rule of the whole partition layer
-    (:func:`repro.serving.sharding.shard_of_value` delegates here): routing
+    The one hashing rule of the whole partition layer (every fact reaches
+    its shard through :meth:`RoutingTable.worker_of_value`): routing
     must agree with Python ``==`` — the equality the joins and the chase
     use — or equal-but-distinctly-spelled keys (``1`` vs ``1.0`` vs
     ``True``) would land in different buckets and a key-join trigger

@@ -51,9 +51,11 @@ philosophy: additions *and* removals are repaired block-locally by
 :func:`~repro.serving.core_engine.core_of_delta`, with full recomputation
 reserved for egd rewrites.
 
-The per-operation entry points ``add_source_facts``/``retract_source_facts``
-are deprecated shims over ``apply_delta`` (a mixed churn batch through them
-pays two refreshes and two invalidation rounds); new code goes through
+Queries go through :class:`ExchangeFront`, the query front this class shares
+with :class:`~repro.serving.sharding.ShardedExchange`: normalisation, the
+version guard, the answer cache and the DEQA branch are written there once,
+and each exchange supplies only its version vector and how a monotone cache
+miss is routed and evaluated.  Service code goes through
 :class:`repro.serving.service.ExchangeService`, which adds typed
 request/response objects, transactions, and per-scenario reader/writer
 locking on top of this class.  Concurrent *queries* against one exchange are
@@ -67,7 +69,6 @@ provides.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
 
@@ -126,25 +127,15 @@ class ServingError(Exception):
     """Raised when a scenario cannot serve a request (failed chase, bad query)."""
 
 
-class ServingDeprecationWarning(DeprecationWarning):
-    """Warned by the deprecated per-operation update shims.
-
-    The repo's own test configuration escalates this category to an error
-    (``pytest.ini``), so internal code cannot quietly keep using the old
-    split API; external callers get an ordinary deprecation period.
-    """
-
-
 @dataclass
 class UpdateStats:
     """Per-exchange counters of the update machinery, one increment per phase.
 
     ``trigger_rounds``/``target_repairs``/``invalidation_rounds`` each advance
     exactly once per applied batch — the observable guarantee that a mixed
-    add/retract batch is not paying the two-pass price of the deprecated
-    split API.  ``replays`` counts egd-entangled retractions that fell back
-    to a full re-chase, ``rollbacks`` the rejected (and fully undone)
-    batches.
+    add/retract batch pays one pass, not one per side.  ``replays`` counts
+    egd-entangled retractions that fell back to a full re-chase,
+    ``rollbacks`` the rejected (and fully undone) batches.
     """
 
     batches: int = 0
@@ -222,45 +213,6 @@ def normalise_delta(
     return to_add, to_remove
 
 
-def serve_deqa(
-    compiled: CompiledMapping,
-    source: Instance,
-    cache: CertainAnswerCache,
-    query: AnyQuery,
-    fingerprint: str,
-    extra_constants: int | None,
-    max_extra_tuples: int | None,
-) -> AnswerOutcome:
-    """The non-monotone (DEQA) serving branch — one implementation.
-
-    Shared verbatim by the unsharded and the sharded exchange (the latter
-    passes its merged source view), so the guard, the parameterised
-    semantics key and the source-version cache contract can never fork
-    between the two.
-    """
-    if compiled.target_dependencies:
-        raise ServingError(
-            "non-monotone queries are served only for scenarios without "
-            "target dependencies (DEQA is defined for the mapping alone)"
-        )
-    semantics = f"deqa:{extra_constants}:{max_extra_tuples}"
-    versions = version_vector(
-        source, [r.name for r in compiled.mapping.source.relations()]
-    )
-    cached = cache.get(fingerprint, semantics, versions)
-    if cached is not None:
-        return AnswerOutcome(cached, semantics, "cache", True)
-    answers = certain_answers(
-        compiled.mapping,
-        source,
-        query,
-        extra_constants=extra_constants,
-        max_extra_tuples=max_extra_tuples,
-    )
-    frozen = cache.put(fingerprint, semantics, versions, answers)
-    return AnswerOutcome(frozen, semantics, "deqa", False)
-
-
 def query_target_relations(query: AnyQuery, normalized: Query) -> list[str]:
     """The target relations ``query`` reads — the scope of its version guard.
 
@@ -276,8 +228,261 @@ def query_target_relations(query: AnyQuery, normalized: Query) -> list[str]:
     return sorted(relations_of(normalized.formula))
 
 
-class MaterializedExchange:
+_DEQA_NEEDS_MAPPING_ALONE = (
+    "non-monotone queries are served only for scenarios without target "
+    "dependencies (DEQA is defined for the mapping alone)"
+)
+
+
+class ExchangeFront:
+    """The query front of one scenario, shared by the flat and sharded exchange.
+
+    The paper's serving rule, written once.  A monotone query is answered by
+    naive evaluation over a universal solution or its core (Proposition 3),
+    cached under the target version vector.  Any other query goes through
+    the DEQA search over the live source (Theorem 3), cached under the
+    source version vector, and is refused under target dependencies.  A
+    subclass supplies only what differs between its states:
+
+    * :meth:`_target_versions` — the version vector guarding monotone entries;
+    * :meth:`_monotone_route` — the route a monotone cache miss takes, the
+      one decision both :meth:`answer` and :meth:`explain` read;
+    * :meth:`_evaluate` — serving a monotone miss on that route;
+    * :meth:`_explain_monotone` — the reason and route-specific fields of a
+      monotone :class:`~repro.obs.explain.QueryExplain`.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        compiled: CompiledMapping,
+        source: Instance,
+        cache_capacity: int | None,
+    ):
+        self.name = name
+        self.compiled = compiled
+        self.source = source.copy()
+        self._cache = CertainAnswerCache(capacity=cache_capacity)
+        self.update_stats = UpdateStats()
+
+    def _target_versions(self, relations: Iterable[str] | None = None) -> VersionVector:
+        raise NotImplementedError
+
+    def _monotone_route(self, query: AnyQuery) -> str:
+        raise NotImplementedError
+
+    def _evaluate(self, route: str, query: AnyQuery, relations: list[str]) -> set[tuple]:
+        raise NotImplementedError
+
+    def _explain_monotone(
+        self, query: AnyQuery, route: str, relations: list[str], cache_outcome: str
+    ) -> tuple[str, dict[str, Any]]:
+        raise NotImplementedError
+
+    @property
+    def mapping(self):
+        return self.compiled.mapping
+
+    @property
+    def cache_stats(self) -> CacheStats:
+        return self._cache.stats
+
+    @property
+    def cache_entries(self) -> int:
+        """Number of live answer-cache entries."""
+        return len(self._cache)
+
+    def cache_stats_snapshot(self) -> CacheStats:
+        """A consistent copy of the answer-cache counters (for ``stats()``)."""
+        return self._cache.stats_snapshot()
+
+    def answer(
+        self,
+        query: AnyQuery,
+        extra_constants: int | None = None,
+        max_extra_tuples: int | None = None,
+    ) -> AnswerOutcome:
+        """Serve ``certain_Σα(Q, S)``, reporting the route the answers took.
+
+        The route is ``cache`` when the version vector matches a stored
+        entry; otherwise a monotone query takes :meth:`_monotone_route`
+        (``core``/``target`` flat, ``scatter``/``merged`` sharded) and a
+        non-monotone one ``deqa``, which raises :class:`ServingError` under
+        target dependencies.
+
+        Safe under concurrent callers (the answer cache and the core cache
+        are safe for concurrent readers); updates still require exclusive access.
+        """
+        if not TRACER.enabled:
+            return self._answer_impl(query, extra_constants, max_extra_tuples)
+        with TRACER.span("exchange.answer", scenario=self.name) as span:
+            outcome = self._answer_impl(query, extra_constants, max_extra_tuples)
+            span.annotate(
+                route=outcome.route,
+                cached=outcome.cached,
+                answers=len(outcome.answers),
+            )
+            return outcome
+
+    def _answer_impl(
+        self,
+        query: AnyQuery,
+        extra_constants: int | None,
+        max_extra_tuples: int | None,
+    ) -> AnswerOutcome:
+        normalized = _as_query(query, self.compiled.mapping)
+        fingerprint = query_fingerprint(normalized)
+        if normalized.is_monotone():
+            semantics = "monotone"
+            relations = query_target_relations(query, normalized)
+            versions = self._target_versions(relations)
+            with TRACER.span("exchange.cache_probe", semantics=semantics) as probe:
+                cached = self._cache.get(fingerprint, semantics, versions)
+                probe.annotate(outcome="hit" if cached is not None else "miss")
+            if cached is not None:
+                return AnswerOutcome(cached, semantics, "cache", True)
+            route = self._monotone_route(query)
+            answers = self._evaluate(route, query, relations)
+            frozen = self._cache.put(fingerprint, semantics, versions, answers)
+            return AnswerOutcome(frozen, semantics, route, False)
+
+        # Non-monotone: DEQA over the live source, cached on its versions.
+        with TRACER.span("exchange.evaluate", route="deqa"):
+            if self.compiled.target_dependencies:
+                raise ServingError(_DEQA_NEEDS_MAPPING_ALONE)
+            semantics, versions = self._deqa_key(extra_constants, max_extra_tuples)
+            cached = self._cache.get(fingerprint, semantics, versions)
+            if cached is not None:
+                return AnswerOutcome(cached, semantics, "cache", True)
+            answers = certain_answers(
+                self.compiled.mapping,
+                self.source,
+                query,
+                extra_constants=extra_constants,
+                max_extra_tuples=max_extra_tuples,
+            )
+            frozen = self._cache.put(fingerprint, semantics, versions, answers)
+            return AnswerOutcome(frozen, semantics, "deqa", False)
+
+    def _deqa_key(
+        self, extra_constants: int | None, max_extra_tuples: int | None
+    ) -> tuple[str, VersionVector]:
+        """DEQA's cache key: the parameterised semantics and the source versions."""
+        return f"deqa:{extra_constants}:{max_extra_tuples}", version_vector(
+            self.source, [r.name for r in self.compiled.mapping.source.relations()]
+        )
+
+    def explain(
+        self,
+        query: AnyQuery,
+        extra_constants: int | None = None,
+        max_extra_tuples: int | None = None,
+    ) -> QueryExplain:
+        """The route :meth:`answer` would take, without evaluating or mutating.
+
+        The cache is *peeked* (no hit/miss counters, no LRU reorder) and a
+        monotone miss reports the route :meth:`_monotone_route` picks for
+        :meth:`answer`.  A query :meth:`answer` would reject — non-monotone
+        under target dependencies — comes back as ``route="error"`` with the
+        reason, instead of raising.
+        """
+        normalized = _as_query(query, self.compiled.mapping)
+        fingerprint = query_fingerprint(normalized)
+        monotone = normalized.is_monotone()
+        if monotone:
+            semantics = "monotone"
+            relations = query_target_relations(query, normalized)
+            versions = self._target_versions(relations)
+        elif self.compiled.target_dependencies:
+            return QueryExplain(
+                scenario=None,
+                query=query_fingerprint(query),
+                route="error",
+                monotone=False,
+                reason=_DEQA_NEEDS_MAPPING_ALONE,
+            )
+        else:
+            semantics, versions = self._deqa_key(extra_constants, max_extra_tuples)
+        probe = CacheProbe(
+            outcome=self._cache.peek(fingerprint, semantics, versions),
+            fingerprint=fingerprint,
+            semantics=semantics,
+            versions=versions,
+        )
+        fields: dict[str, Any] = {}
+        if monotone:
+            route = "cache" if probe.outcome == "hit" else self._monotone_route(query)
+            reason, fields = self._explain_monotone(
+                query, route, relations, probe.outcome
+            )
+        elif probe.outcome == "hit":
+            route, reason = "cache", "source version vector matched a stored entry"
+        else:
+            route = "deqa"
+            reason = (
+                f"non-monotone: DEQA over the live source (cache {probe.outcome})"
+            )
+        return QueryExplain(
+            scenario=None,
+            query=query_fingerprint(query),
+            route=route,
+            monotone=monotone,
+            reason=reason,
+            cache=probe,
+            **fields,
+        )
+
+    @staticmethod
+    def _explain_join_order(query: AnyQuery, instance: Instance) -> tuple[JoinStep, ...]:
+        """The greedy join order(s) a CQ/UCQ would bind, with cardinalities."""
+        disjuncts: tuple[ConjunctiveQuery, ...]
+        if isinstance(query, ConjunctiveQuery):
+            disjuncts = (query,)
+        elif isinstance(query, UnionOfConjunctiveQueries):
+            disjuncts = tuple(query.disjuncts)
+        else:
+            return ()
+        steps: list[JoinStep] = []
+        for cq in disjuncts:
+            for atom, relation, estimate, actual in greedy_join_order(cq, instance):
+                steps.append(
+                    JoinStep(
+                        atom=atom, relation=relation, estimate=estimate, actual=actual
+                    )
+                )
+                if METRICS.enabled:
+                    _JOIN_ESTIMATE.observe(estimate)
+                    _JOIN_ACTUAL.observe(actual)
+        return tuple(steps)
+
+    def certain_answers(
+        self,
+        query: AnyQuery,
+        extra_constants: int | None = None,
+        max_extra_tuples: int | None = None,
+    ) -> set[tuple]:
+        """Serve ``certain_Σα(Q, S)`` as a plain (mutable) answer set.
+
+        Convenience wrapper over :meth:`answer` for callers that only want
+        the answers; the service layer uses :meth:`answer` to surface the
+        dispatch route and cache outcome in its typed results.
+        """
+        return set(
+            self.answer(
+                query,
+                extra_constants=extra_constants,
+                max_extra_tuples=max_extra_tuples,
+            ).answers
+        )
+
+
+class MaterializedExchange(ExchangeFront):
     """One scenario's materialized state (see module docstring)."""
+
+    # The shared entry point, bound again as this class's own attribute so
+    # that wrapping ``MaterializedExchange.answer`` (profilers, layer timers)
+    # leaves the sharded front's binding untouched, and vice versa.
+    answer = ExchangeFront.answer
 
     def __init__(
         self,
@@ -287,9 +492,7 @@ class MaterializedExchange:
         max_chase_steps: int | None = None,
         cache_capacity: int | None = None,
     ):
-        self.name = name
-        self.compiled = compiled
-        self.source = source.copy()
+        super().__init__(name, compiled, source, cache_capacity)
         # None = unbounded: the compiled mapping's weak-acyclicity gate
         # guarantees chase termination, so scenarios are not size-capped by a
         # fixed budget; set a bound to trade completeness for latency control.
@@ -301,8 +504,6 @@ class MaterializedExchange:
         self._assignments: dict[int, dict[TriggerKey, dict[Var, Any]]] = {
             cstd.index: {} for cstd in compiled.stds
         }
-        self._cache = CertainAnswerCache(capacity=cache_capacity)
-        self.update_stats = UpdateStats()
         # Serialises lazy core (re)computation between concurrent readers;
         # updates are excluded wholesale by the service's write lock.
         self._core_mutex = threading.Lock()
@@ -339,10 +540,6 @@ class MaterializedExchange:
     # -- read access -------------------------------------------------------
 
     @property
-    def mapping(self):
-        return self.compiled.mapping
-
-    @property
     def canonical(self) -> Instance:
         """The maintained plain canonical solution ``CSol(S)``."""
         return self._canonical
@@ -365,19 +562,6 @@ class MaterializedExchange:
         prune empty shards from a fan-out without materializing any view.
         """
         return len(self._target.relation(name))
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        return self._cache.stats
-
-    @property
-    def cache_entries(self) -> int:
-        """Number of live answer-cache entries."""
-        return len(self._cache)
-
-    def cache_stats_snapshot(self) -> CacheStats:
-        """A consistent copy of the answer-cache counters (for ``stats()``)."""
-        return self._cache.stats_snapshot()
 
     @property
     def core_size(self) -> Optional[int]:
@@ -628,35 +812,6 @@ class MaterializedExchange:
             raise
         return AppliedDelta(added=tuple(to_add), removed=tuple(to_remove))
 
-    def add_source_facts(self, facts: Iterable[tuple[str, Iterable[Any]]]) -> int:
-        """Deprecated shim: add source tuples (use :meth:`apply_delta`).
-
-        Returns the number of tuples actually added (duplicates are ignored).
-        A mixed churn batch split across this and :meth:`retract_source_facts`
-        pays two refresh passes and two cache-invalidation rounds; the
-        unified entry point (or a service transaction) pays one.
-        """
-        warnings.warn(
-            "add_source_facts is deprecated; use apply_delta(added=...) or an "
-            "ExchangeService transaction",
-            ServingDeprecationWarning,
-            stacklevel=2,
-        )
-        return len(self.apply_delta(added=facts).added)
-
-    def retract_source_facts(self, facts: Iterable[tuple[str, Iterable[Any]]]) -> int:
-        """Deprecated shim: remove source tuples (use :meth:`apply_delta`).
-
-        Returns the number of tuples actually removed.
-        """
-        warnings.warn(
-            "retract_source_facts is deprecated; use apply_delta(removed=...) "
-            "or an ExchangeService transaction",
-            ServingDeprecationWarning,
-            stacklevel=2,
-        )
-        return len(self.apply_delta(removed=facts).removed)
-
     def _undo_source_update(self, to_remove: list[Fact], to_restore: list[Fact]) -> None:
         """Roll the exchange back to its pre-update state after a failed chase.
 
@@ -862,211 +1017,37 @@ class MaterializedExchange:
         }
         self._target = new_target
 
-    def _query_target_relations(self, query: AnyQuery, normalized: Query) -> list[str]:
-        return query_target_relations(query, normalized)
+    def _monotone_route(self, query: AnyQuery) -> str:
+        """``core`` for UCQs, ``target`` for other monotone queries.
 
-    def answer(
-        self,
-        query: AnyQuery,
-        extra_constants: int | None = None,
-        max_extra_tuples: int | None = None,
-    ) -> AnswerOutcome:
-        """Serve ``certain_Σα(Q, S)``, reporting the route the answers took.
-
-        The dispatch decision is made here, once per (query, state) pair:
-
-        * monotone queries — naive evaluation over the materialized target;
-          unions of conjunctive queries are evaluated over its *core* (smaller,
-          and sufficient: null-free UCQ answers are invariant under the
-          homomorphic equivalence of target and core);
-        * non-monotone queries — the DEQA procedures over the live source
-          (only for scenarios without target dependencies, whose semantics
-          DEQA implements), cached on the source's version vector.
-
-        Safe under concurrent callers (the answer cache and the core cache
-        are safe for concurrent readers); updates still require exclusive access.
+        The core suffices for unions of conjunctive queries (null-free UCQ
+        answers are invariant under the homomorphic equivalence of target
+        and core) and is smaller; other monotone queries need the chased
+        target itself.
         """
-        if not TRACER.enabled:
-            return self._answer_impl(query, extra_constants, max_extra_tuples)
-        with TRACER.span("exchange.answer", scenario=self.name) as span:
-            outcome = self._answer_impl(query, extra_constants, max_extra_tuples)
-            span.annotate(
-                route=outcome.route,
-                cached=outcome.cached,
-                answers=len(outcome.answers),
-            )
-            return outcome
+        if isinstance(query, (ConjunctiveQuery, UnionOfConjunctiveQueries)):
+            return "core"
+        return "target"
 
-    def _answer_impl(
-        self,
-        query: AnyQuery,
-        extra_constants: int | None,
-        max_extra_tuples: int | None,
-    ) -> AnswerOutcome:
-        normalized = _as_query(query, self.compiled.mapping)
-        fingerprint = query_fingerprint(normalized)
-        if normalized.is_monotone():
-            semantics = "monotone"
-            versions = self._target_versions(
-                self._query_target_relations(query, normalized)
-            )
-            with TRACER.span("exchange.cache_probe", semantics=semantics) as probe:
-                cached = self._cache.get(fingerprint, semantics, versions)
-                probe.annotate(outcome="hit" if cached is not None else "miss")
-            if cached is not None:
-                return AnswerOutcome(cached, semantics, "cache", True)
-            if isinstance(query, (ConjunctiveQuery, UnionOfConjunctiveQueries)):
-                route = "core"
-                with TRACER.span("exchange.evaluate", route=route):
-                    answers = certain_answers_naive(query, self.core())
-            else:
-                route = "target"
-                with TRACER.span("exchange.evaluate", route=route):
-                    answers = certain_answers_naive(query, self._target)
-            frozen = self._cache.put(fingerprint, semantics, versions, answers)
-            return AnswerOutcome(frozen, semantics, route, False)
-
-        with TRACER.span("exchange.evaluate", route="deqa"):
-            return serve_deqa(
-                self.compiled,
-                self.source,
-                self._cache,
-                query,
-                fingerprint,
-                extra_constants,
-                max_extra_tuples,
+    def _evaluate(self, route: str, query: AnyQuery, relations: list[str]) -> set[tuple]:
+        with TRACER.span("exchange.evaluate", route=route):
+            return certain_answers_naive(
+                query, self.core() if route == "core" else self._target
             )
 
-    def explain(
-        self,
-        query: AnyQuery,
-        extra_constants: int | None = None,
-        max_extra_tuples: int | None = None,
-    ) -> QueryExplain:
-        """Mirror :meth:`answer`'s dispatch without evaluating or mutating.
-
-        The cache is *peeked* (no hit/miss counters, no LRU reorder), and
-        the greedy join order is reported against the live target's
-        cardinalities (the core may be lazily stale, and explaining must
-        not trigger its recomputation).  A query :meth:`answer` would
-        reject — non-monotone under target dependencies — comes back as
-        ``route="error"`` with the reason, instead of raising.
-        """
-        normalized = _as_query(query, self.compiled.mapping)
-        fingerprint = query_fingerprint(normalized)
-        if normalized.is_monotone():
-            semantics = "monotone"
-            versions = self._target_versions(
-                self._query_target_relations(query, normalized)
-            )
-            probe = CacheProbe(
-                outcome=self._cache.peek(fingerprint, semantics, versions),
-                fingerprint=fingerprint,
-                semantics=semantics,
-                versions=versions,
-            )
-            if probe.outcome == "hit":
-                route, reason = "cache", "version vector matched a stored entry"
-            elif isinstance(query, (ConjunctiveQuery, UnionOfConjunctiveQueries)):
-                route = "core"
-                reason = (
-                    f"UCQ/CQ over the maintained core (cache {probe.outcome})"
-                )
-            else:
-                route = "target"
-                reason = (
-                    f"monotone non-UCQ over the chased target "
-                    f"(cache {probe.outcome})"
-                )
-            return QueryExplain(
-                scenario=None,
-                query=query_fingerprint(query),
-                route=route,
-                monotone=True,
-                reason=reason,
-                cache=probe,
-                join_order=self._explain_join_order(query, self._target),
-            )
-        if self.compiled.target_dependencies:
-            return QueryExplain(
-                scenario=None,
-                query=query_fingerprint(query),
-                route="error",
-                monotone=False,
-                reason=(
-                    "non-monotone queries are served only for scenarios "
-                    "without target dependencies (DEQA is defined for the "
-                    "mapping alone)"
-                ),
-            )
-        semantics = f"deqa:{extra_constants}:{max_extra_tuples}"
-        versions = version_vector(
-            self.source, [r.name for r in self.compiled.mapping.source.relations()]
-        )
-        probe = CacheProbe(
-            outcome=self._cache.peek(fingerprint, semantics, versions),
-            fingerprint=fingerprint,
-            semantics=semantics,
-            versions=versions,
-        )
-        if probe.outcome == "hit":
-            route, reason = "cache", "source version vector matched a stored entry"
+    def _explain_monotone(
+        self, query: AnyQuery, route: str, relations: list[str], cache_outcome: str
+    ) -> tuple[str, dict[str, Any]]:
+        """The reason per route, plus the join order against the live
+        target's cardinalities (the core may be lazily stale, and explaining
+        must not trigger its recomputation)."""
+        if route == "cache":
+            reason = "version vector matched a stored entry"
+        elif route == "core":
+            reason = f"UCQ/CQ over the maintained core (cache {cache_outcome})"
         else:
-            route = "deqa"
-            reason = (
-                f"non-monotone: DEQA over the live source (cache {probe.outcome})"
-            )
-        return QueryExplain(
-            scenario=None,
-            query=query_fingerprint(query),
-            route=route,
-            monotone=False,
-            reason=reason,
-            cache=probe,
-        )
-
-    @staticmethod
-    def _explain_join_order(query: AnyQuery, instance: Instance) -> tuple[JoinStep, ...]:
-        """The greedy join order(s) a CQ/UCQ would bind, with cardinalities."""
-        disjuncts: tuple[ConjunctiveQuery, ...]
-        if isinstance(query, ConjunctiveQuery):
-            disjuncts = (query,)
-        elif isinstance(query, UnionOfConjunctiveQueries):
-            disjuncts = tuple(query.disjuncts)
-        else:
-            return ()
-        steps: list[JoinStep] = []
-        for cq in disjuncts:
-            for atom, relation, estimate, actual in greedy_join_order(cq, instance):
-                steps.append(
-                    JoinStep(
-                        atom=atom, relation=relation, estimate=estimate, actual=actual
-                    )
-                )
-                if METRICS.enabled:
-                    _JOIN_ESTIMATE.observe(estimate)
-                    _JOIN_ACTUAL.observe(actual)
-        return tuple(steps)
-
-    def certain_answers(
-        self,
-        query: AnyQuery,
-        extra_constants: int | None = None,
-        max_extra_tuples: int | None = None,
-    ) -> set[tuple]:
-        """Serve ``certain_Σα(Q, S)`` as a plain (mutable) answer set.
-
-        Convenience wrapper over :meth:`answer` for callers that only want
-        the answers; the service layer uses :meth:`answer` to surface the
-        dispatch route and cache outcome in its typed results.
-        """
-        return set(
-            self.answer(
-                query,
-                extra_constants=extra_constants,
-                max_extra_tuples=max_extra_tuples,
-            ).answers
-        )
+            reason = f"monotone non-UCQ over the chased target (cache {cache_outcome})"
+        return reason, {"join_order": self._explain_join_order(query, self._target)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

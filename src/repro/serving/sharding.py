@@ -11,7 +11,9 @@ Partitioning and the shardability analysis
 ------------------------------------------
 A :class:`PartitionSpec` names the partition key of each source relation (a
 position, ``0`` by default) and the worker-shard count.  A source fact is
-routed to ``hash(key value) % n`` — unless its relation was routed to the
+routed by its key value through the live routing table
+(:meth:`ShardPlan.shard_of`, the one fact router; see
+:mod:`repro.serving.elastic`) — unless its relation was routed to the
 residual shard by the **shardability analysis**
 (:func:`analyse_shardability`, exposed as
 :meth:`~repro.serving.registry.CompiledMapping.shard_plan`):
@@ -53,6 +55,14 @@ solution, homomorphically equivalent to the unsharded target.
 
 Serving
 -------
+Queries go through the query front shared with the unsharded exchange
+(:class:`~repro.serving.materialized.ExchangeFront`): normalisation, the
+top-level cache probe, the DEQA branch and ``explain`` are written there
+once.  This class supplies the composed version vector, the
+``scatter``/``merged`` route decision that ``answer`` and ``explain`` both
+read, the two evaluations, and the scatter rules and fan-out ``explain``
+reports.
+
 * **Updates** fan out per shard: one
   :meth:`~repro.serving.materialized.MaterializedExchange.apply_delta` per
   touched shard, run on a :class:`~concurrent.futures.ThreadPoolExecutor`
@@ -85,46 +95,35 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from repro.core.certain import AnyQuery, _as_query, certain_answers_naive
+from repro.core.certain import AnyQuery, certain_answers_naive
 from repro.logic.cq import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.logic.formulas import Atom
 from repro.logic.terms import Const, Var
-from repro.obs.explain import CacheProbe, QueryExplain, ScatterRule, ShardFanout
+from repro.obs.explain import ScatterRule, ShardFanout
 from repro.obs.flight import FLIGHT_RECORDER
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.relational.instance import Instance
 from repro.relational.interning import ValueInterner
-from repro.serving.cache import (
-    CertainAnswerCache,
-    VersionVector,
-    query_fingerprint,
-    version_vector,
-)
+from repro.serving.cache import VersionVector, query_fingerprint
 from repro.serving.elastic import (
     EpochRouter,
     PendingReshard,
     ReshardMove,
     RoutingTable,
     TopKCounter,
-    bucket_of_value,
 )
 from repro.serving.materialized import (
-    AnswerOutcome,
     AppliedDelta,
+    ExchangeFront,
     Fact,
     MaterializedExchange,
-    ServingDeprecationWarning,
     ServingError,
-    UpdateStats,
     normalise_delta,
-    query_target_relations,
-    serve_deqa,
 )
 from repro.serving.registry import CompiledMapping
 
@@ -150,35 +149,7 @@ __all__ = [
     "ShardedExchange",
     "ShardingStats",
     "analyse_shardability",
-    "shard_of_value",
 ]
-
-
-def shard_of_value(value: Any, shards: int) -> int:
-    """The worker shard of a partition-key value.
-
-    Routing must agree with Python's ``==`` — the equality joins and chase
-    matching use — or equal-but-distinctly-spelled keys (``1`` vs ``1.0``
-    vs ``True``) would land in different shards and a key-join trigger
-    spanning them would silently never fire.  So the function hashes:
-
-    * strings/bytes by CRC32 of their content — equality-compatible *and*
-      stable across processes (``hash()`` is per-process salted for these,
-      which would make shard layouts drift between runs);
-    * everything else by ``hash()``, which CPython keeps equality-compatible
-      across the whole numeric tower (``hash(1) == hash(1.0) ==
-      hash(True)``) and unsalted for numbers — so the common key types
-      (ids, numbers) are also process-stable, while exotic hashable keys
-      are at least always routed consistently within a process.
-
-    Since the elastic layer this is one rule shared with the bucket
-    routing: :func:`repro.serving.elastic.bucket_of_value` holds the
-    implementation, and because the initial :class:`RoutingTable` assigns
-    bucket ``b`` to worker ``b % workers`` over a bucket count that is a
-    multiple of ``workers``, ``table.worker_of_value(v)`` equals
-    ``shard_of_value(v, workers)`` until the first reshard.
-    """
-    return bucket_of_value(value, shards)
 
 
 @dataclass(frozen=True)
@@ -275,14 +246,20 @@ class ShardPlan:
         """Did every source relation fall back to the residual shard?"""
         return not self.partitioned_sources
 
-    def shard_of(self, relation: str, tup: tuple) -> int:
-        """The shard index of one source fact (``spec.shards`` = residual)."""
+    def shard_of(self, relation: str, tup: tuple, routing: RoutingTable) -> int:
+        """The shard index of one source fact (``spec.shards`` = residual).
+
+        Residual relations and key-less tuples go to the residual shard;
+        every other fact goes to the worker that the live routing epoch
+        ``routing`` assigns its key value, so committed bucket moves take
+        effect for every later batch.
+        """
         if relation in self.residual_sources:
             return self.spec.shards
         position = self.spec.key_position(relation)
         if position >= len(tup):
             return self.spec.shards
-        return shard_of_value(tup[position], self.spec.shards)
+        return routing.worker_of_value(tup[position])
 
     def scatter_safe(self, query: AnyQuery) -> bool:
         """May ``query`` be answered per shard and unioned, losing nothing?
@@ -331,9 +308,7 @@ class ShardPlan:
             return True, f"key-joined({joined.name})"
         return False, "not-key-joined"
 
-    def scatter_shards(
-        self, query: AnyQuery, routing: Optional[RoutingTable] = None
-    ) -> Optional[frozenset[int]]:
+    def scatter_shards(self, query: AnyQuery, routing: RoutingTable) -> Optional[frozenset[int]]:
         """Worker shards that can contribute answers to a scatter-safe query.
 
         ``None`` means every worker shard may contribute.  A disjunct whose
@@ -343,11 +318,9 @@ class ShardPlan:
         shard and the other workers can only answer with nothing — the hot
         per-entity lookup pattern turns into a single-shard (plus residual)
         probe instead of a full fan-out.  ``routing`` is the live
-        epoch-versioned table (a reshard moves the pin with the bucket);
-        without one the initial modulo layout decides, which is identical
-        until the first reshard.  The residual shard is never pruned here
-        (the caller always keeps it): residual-only disjuncts simply pin no
-        worker at all.
+        epoch-versioned table (a reshard moves the pin with the bucket).
+        The residual shard is never pruned here (the caller always keeps
+        it): residual-only disjuncts simply pin no worker at all.
         """
         disjuncts = (
             query.disjuncts
@@ -369,7 +342,7 @@ class ShardPlan:
         self,
         cq: ConjunctiveQuery,
         keys: Mapping[str, frozenset[int]],
-        routing: Optional[RoutingTable] = None,
+        routing: RoutingTable,
     ) -> Optional[int]:
         """The one worker shard a disjunct's matches can come from, if any.
 
@@ -384,9 +357,7 @@ class ShardPlan:
                 if position < len(atom.terms):
                     term = atom.terms[position]
                     if isinstance(term, Const):
-                        if routing is not None:
-                            return routing.worker_of_value(term.value)
-                        return shard_of_value(term.value, self.spec.shards)
+                        return routing.worker_of_value(term.value)
         return None
 
 
@@ -744,15 +715,20 @@ class ShardingStats:
     key_histograms: tuple[tuple[tuple[Any, int], ...], ...] = ()
 
 
-class ShardedExchange:
+class ShardedExchange(ExchangeFront):
     """A scenario materialized as worker shards plus a residual shard.
 
-    Duck-types the :class:`MaterializedExchange` serving surface
-    (``apply_delta``/``answer``/``certain_answers``/``update_stats``/
-    ``source``/``target``/…), so the service's locks, transactions and
-    inverse-delta rollbacks apply unchanged.  See the module docstring for
-    the partitioning, scatter-gather and caching semantics.
+    Shares the query front (:class:`~repro.serving.materialized.ExchangeFront`)
+    with :class:`MaterializedExchange` and duck-types the rest of its
+    surface (``apply_delta``/``update_stats``/``source``/``target``/…), so
+    the service's locks, transactions and inverse-delta rollbacks apply
+    unchanged.  See the module docstring for the partitioning,
+    scatter-gather and caching semantics.
     """
+
+    # Bound again as this class's own attribute, like MaterializedExchange
+    # does, so wrapping one exchange kind's ``answer`` leaves the other's be.
+    answer = ExchangeFront.answer
 
     def __init__(
         self,
@@ -771,17 +747,14 @@ class ShardedExchange:
             raise ValueError(
                 f"unknown worker_mode {worker_mode!r} (use 'thread' or 'process')"
             )
-        self.name = name
-        self.compiled = compiled
+        # self.source is the merged live source view (DEQA reads it).
+        super().__init__(name, compiled, source, cache_capacity)
         self.plan = compiled.shard_plan(partition, force_residual=force_residual)
-        self.source = source.copy()  # the merged live source view (DEQA reads it)
         self._max_chase_steps = max_chase_steps
         self._cache_capacity = cache_capacity
         self._worker_mode = worker_mode
         self._worker_timeout = worker_timeout
         self._worker_failures = 0
-        self._cache = CertainAnswerCache(capacity=cache_capacity)
-        self.update_stats = UpdateStats()
         self._epoch = 0
         self._counter_mutex = threading.Lock()
         self._scatter_queries = 0
@@ -790,7 +763,6 @@ class ShardedExchange:
         self._reshards = 0
         # The epoch-versioned routing state (repro.serving.elastic): reads go
         # through routing_snapshot(), publishes through the reshard commit.
-        # The initial table routes exactly like plan.shard_of.
         self._router = EpochRouter(RoutingTable.initial(partition.shards))
         # Per worker shard: bounded top-K ingest histogram of partition keys.
         self._key_hist = tuple(TopKCounter() for _ in range(partition.shards))
@@ -808,7 +780,7 @@ class ShardedExchange:
         ]
         routing = self._router.snapshot()
         for relation, tup in self.source.facts():
-            index = self._shard_of(relation, tup, routing)
+            index = self.plan.shard_of(relation, tup, routing)
             slices[index].add(relation, tup)
             if index < partition.shards:
                 self._key_hist[index].add(tup[partition.key_position(relation)])
@@ -881,20 +853,6 @@ class ShardedExchange:
             return f"{self.name}/residual"
         return f"{self.name}/shard{index}"
 
-    def _shard_of(self, relation: str, tup: tuple, routing: RoutingTable) -> int:
-        """The live shard of one source fact under the given routing epoch.
-
-        Same residual decisions as :meth:`ShardPlan.shard_of`; the worker
-        choice goes through the epoch-versioned table so committed bucket
-        moves take effect for every later batch.
-        """
-        if relation in self.plan.residual_sources:
-            return self.plan.spec.shards
-        position = self.plan.spec.key_position(relation)
-        if position >= len(tup):
-            return self.plan.spec.shards
-        return routing.worker_of_value(tup[position])
-
     # -- read access -------------------------------------------------------
 
     def routing_snapshot(self) -> RoutingTable:
@@ -935,10 +893,6 @@ class ShardedExchange:
             else:
                 states.append(f"process(gen={shard.generation})")
         return tuple(states)
-
-    @property
-    def mapping(self):
-        return self.compiled.mapping
 
     @property
     def residual(self):
@@ -1001,17 +955,6 @@ class ShardedExchange:
                 size = 0
             total += size
         return total
-
-    @property
-    def cache_entries(self) -> int:
-        return len(self._cache)
-
-    @property
-    def cache_stats(self):
-        return self._cache.stats
-
-    def cache_stats_snapshot(self):
-        return self._cache.stats_snapshot()
 
     def sharding_stats(self) -> ShardingStats:
         """The epoch-consistent sharding snapshot (see :class:`ShardingStats`)."""
@@ -1085,16 +1028,15 @@ class ShardedExchange:
         workers = self.plan.spec.shards
         per_shard: dict[int, tuple[list[Fact], list[Fact]]] = {}
         for fact in to_add:
-            index = self._shard_of(*fact, routing)
+            index = self.plan.shard_of(*fact, routing)
             per_shard.setdefault(index, ([], []))[0].append(fact)
             if index < workers:  # ingest-traffic histogram (adds only)
                 self._key_hist[index].add(
                     fact[1][self.plan.spec.key_position(fact[0])]
                 )
         for fact in to_remove:
-            per_shard.setdefault(self._shard_of(*fact, routing), ([], []))[1].append(
-                fact
-            )
+            index = self.plan.shard_of(*fact, routing)
+            per_shard.setdefault(index, ([], []))[1].append(fact)
 
         self.update_stats.batches += 1
         replays_before = sum(shard.update_stats.replays for shard in self.shards)
@@ -1182,31 +1124,6 @@ class ShardedExchange:
         with self._counter_mutex:
             self._fanout_applies += len(futures)
         return AppliedDelta(added=tuple(to_add), removed=tuple(to_remove))
-
-    def add_source_facts(self, facts: Iterable[tuple[str, Iterable[Any]]]) -> int:
-        """Deprecated shim: add source tuples (use :meth:`apply_delta`).
-
-        Present for surface parity with :class:`MaterializedExchange`, so
-        mid-migration callers fail with the same deprecation warning on both
-        scenario kinds instead of an ``AttributeError`` on sharded ones.
-        """
-        warnings.warn(
-            "add_source_facts is deprecated; use apply_delta(added=...) or an "
-            "ExchangeService transaction",
-            ServingDeprecationWarning,
-            stacklevel=2,
-        )
-        return len(self.apply_delta(added=facts).added)
-
-    def retract_source_facts(self, facts: Iterable[tuple[str, Iterable[Any]]]) -> int:
-        """Deprecated shim: remove source tuples (use :meth:`apply_delta`)."""
-        warnings.warn(
-            "retract_source_facts is deprecated; use apply_delta(removed=...) "
-            "or an ExchangeService transaction",
-            ServingDeprecationWarning,
-            stacklevel=2,
-        )
-        return len(self.apply_delta(removed=facts).removed)
 
     def _rebuild_shard(self, index: int, applied: AppliedDelta) -> None:
         """Re-materialize one shard at its pre-batch source (rollback backstop).
@@ -1488,195 +1405,78 @@ class ShardedExchange:
                 self._merged_versions = versions
             return self._merged_target
 
-    def answer(
-        self,
-        query: AnyQuery,
-        extra_constants: int | None = None,
-        max_extra_tuples: int | None = None,
-    ) -> AnswerOutcome:
-        """Serve one query; routes are ``cache``/``scatter``/``merged``/``deqa``.
+    def _monotone_route(self, query: AnyQuery) -> str:
+        """``scatter`` when :meth:`ShardPlan.scatter_safe` proves the query
+        intra-shard, else ``merged`` (evaluated over the merged target view)."""
+        return "scatter" if self.plan.scatter_safe(query) else "merged"
 
-        Monotone queries check the top-level cache (composed version
-        guard), then either scatter-gather — parallel per-shard
-        :meth:`MaterializedExchange.answer` (each shard serves its own
-        core/cache), answers unioned — when :meth:`ShardPlan.scatter_safe`
-        proves the query intra-shard, or evaluate over the merged target
-        view.  Non-monotone queries run DEQA over the merged source,
-        exactly like the unsharded exchange.
-        """
-        if not TRACER.enabled:
-            return self._answer_impl(query, extra_constants, max_extra_tuples)
-        with TRACER.span("exchange.answer", scenario=self.name) as span:
-            outcome = self._answer_impl(query, extra_constants, max_extra_tuples)
-            span.annotate(
-                route=outcome.route,
-                cached=outcome.cached,
-                answers=len(outcome.answers),
-            )
-            return outcome
+    def _evaluate(self, route: str, query: AnyQuery, relations: list[str]) -> set[tuple]:
+        """Scatter: parallel per-shard :meth:`MaterializedExchange.answer`
+        (each shard serves its own core/cache), answers unioned.  Merged:
+        naive evaluation over the merged target view."""
+        if route == "merged":
+            with TRACER.span("exchange.evaluate", route=route):
+                answers = certain_answers_naive(query, self._merged())
+            with self._counter_mutex:
+                self._merged_queries += 1
+            return answers
+        live, _ = self._scatter_live(query, relations, self._router.snapshot())
+        with TRACER.span("exchange.scatter", fanout=len(live), shards=len(self.shards)):
+            if TRACER.enabled:
+                parent = TRACER.current()
 
-    def _answer_impl(
-        self,
-        query: AnyQuery,
-        extra_constants: int | None,
-        max_extra_tuples: int | None,
-    ) -> AnswerOutcome:
-        normalized = _as_query(query, self.compiled.mapping)
-        fingerprint = query_fingerprint(normalized)
-        if normalized.is_monotone():
-            semantics = "monotone"
-            relations = query_target_relations(query, normalized)
-            versions = self._target_versions(relations)
-            with TRACER.span("exchange.cache_probe", semantics=semantics) as probe:
-                cached = self._cache.get(fingerprint, semantics, versions)
-                probe.annotate(outcome="hit" if cached is not None else "miss")
-            if cached is not None:
-                return AnswerOutcome(cached, semantics, "cache", True)
-            if isinstance(
-                query, (ConjunctiveQuery, UnionOfConjunctiveQueries)
-            ) and self.plan.scatter_safe(query):
-                route = "scatter"
-                live = self._scatter_live(query, relations)
-                with TRACER.span(
-                    "exchange.scatter",
-                    fanout=len(live),
-                    shards=len(self.shards),
-                ):
-                    if TRACER.enabled:
-                        parent = TRACER.current()
+                def traced_answer(shard):
+                    with TRACER.context(parent):
+                        with TRACER.span("shard.answer", shard=shard.name) as shard_span:
+                            outcome = shard.answer(query)
+                            shard_span.annotate(
+                                route=outcome.route, cached=outcome.cached
+                            )
+                            return outcome
 
-                        def traced_answer(shard):
-                            with TRACER.context(parent):
-                                with TRACER.span(
-                                    "shard.answer", shard=shard.name
-                                ) as shard_span:
-                                    outcome = shard.answer(query)
-                                    shard_span.annotate(
-                                        route=outcome.route, cached=outcome.cached
-                                    )
-                                    return outcome
-
-                        futures = [
-                            self._pool.submit(traced_answer, shard) for shard in live
-                        ]
-                    else:
-                        futures = [
-                            self._pool.submit(shard.answer, query) for shard in live
-                        ]
-                    answers: set = set()
-                    with TRACER.span("exchange.merge"):
-                        for future in futures:
-                            answers |= set(future.result().answers)
-                if METRICS.enabled:
-                    _SCATTER_FANOUT.observe(len(live))
-                with self._counter_mutex:
-                    self._scatter_queries += 1
+                futures = [self._pool.submit(traced_answer, shard) for shard in live]
             else:
-                route = "merged"
-                with TRACER.span("exchange.evaluate", route=route):
-                    answers = certain_answers_naive(query, self._merged())
-                with self._counter_mutex:
-                    self._merged_queries += 1
-            frozen = self._cache.put(fingerprint, semantics, versions, answers)
-            return AnswerOutcome(frozen, semantics, route, False)
+                futures = [self._pool.submit(shard.answer, query) for shard in live]
+            answers: set = set()
+            with TRACER.span("exchange.merge"):
+                for future in futures:
+                    answers |= set(future.result().answers)
+        if METRICS.enabled:
+            _SCATTER_FANOUT.observe(len(live))
+        with self._counter_mutex:
+            self._scatter_queries += 1
+        return answers
 
-        with TRACER.span("exchange.evaluate", route="deqa"):
-            return serve_deqa(
-                self.compiled,
-                self.source,  # the maintained merged source view
-                self._cache,
-                query,
-                fingerprint,
-                extra_constants,
-                max_extra_tuples,
-            )
-
-    def _scatter_live(self, query: AnyQuery, relations: list[str]) -> list[Any]:
-        """The shards a scatter actually consults (the fan-out pruning).
+    def _scatter_live(
+        self, query: AnyQuery, relations: list[str], routing: RoutingTable
+    ) -> tuple[list[Any], Optional[frozenset[int]]]:
+        """The shards a scatter actually consults, and the pinned workers.
 
         Shards holding none of the query's relations cannot contribute, and
         a disjunct with a constant on a key position pins its worker shard —
         the hot per-entity lookup probes one worker plus residual.  Shared
         by the dispatch and the explain layer so the two can never drift.
-        Pinning consults the live routing snapshot, so a committed reshard
+        Pinning consults the given routing snapshot, so a committed reshard
         moves the probe with the bucket.
         """
-        pinned = self.plan.scatter_shards(query, self._router.snapshot())
+        pinned = self.plan.scatter_shards(query, routing)
         workers = self.plan.spec.shards
-        return [
+        live = [
             shard
             for index, shard in enumerate(self.shards)
             if (pinned is None or index >= workers or index in pinned)
             and any(shard.target_relation_size(r) for r in relations)
         ]
+        return live, pinned
 
-    def explain(
-        self,
-        query: AnyQuery,
-        extra_constants: int | None = None,
-        max_extra_tuples: int | None = None,
-    ) -> QueryExplain:
-        """Mirror :meth:`answer`'s dispatch without evaluating or mutating.
-
-        Reports the per-disjunct scatter verdicts (rule by rule), the
-        fan-out a scatter would consult, and the cache peek under the
-        composed version guard.  The greedy join order is included only
-        when the merged target view is already current — explaining must
-        not force the merged rebuild a real ``merged``-route query would.
-        """
-        normalized = _as_query(query, self.compiled.mapping)
-        fingerprint = query_fingerprint(normalized)
-        if not normalized.is_monotone():
-            if self.compiled.target_dependencies:
-                return QueryExplain(
-                    scenario=None,
-                    query=query_fingerprint(query),
-                    route="error",
-                    monotone=False,
-                    reason=(
-                        "non-monotone queries are served only for scenarios "
-                        "without target dependencies (DEQA is defined for the "
-                        "mapping alone)"
-                    ),
-                )
-            semantics = f"deqa:{extra_constants}:{max_extra_tuples}"
-            versions = version_vector(
-                self.source,
-                [r.name for r in self.compiled.mapping.source.relations()],
-            )
-            probe = CacheProbe(
-                outcome=self._cache.peek(fingerprint, semantics, versions),
-                fingerprint=fingerprint,
-                semantics=semantics,
-                versions=versions,
-            )
-            if probe.outcome == "hit":
-                route = "cache"
-                reason = "source version vector matched a stored entry"
-            else:
-                route = "deqa"
-                reason = (
-                    f"non-monotone: DEQA over the merged source "
-                    f"(cache {probe.outcome})"
-                )
-            return QueryExplain(
-                scenario=None,
-                query=query_fingerprint(query),
-                route=route,
-                monotone=False,
-                reason=reason,
-                cache=probe,
-            )
-
-        semantics = "monotone"
-        relations = query_target_relations(query, normalized)
-        versions = self._target_versions(relations)
-        probe = CacheProbe(
-            outcome=self._cache.peek(fingerprint, semantics, versions),
-            fingerprint=fingerprint,
-            semantics=semantics,
-            versions=versions,
-        )
+    def _explain_monotone(
+        self, query: AnyQuery, route: str, relations: list[str], cache_outcome: str
+    ) -> tuple[str, dict[str, Any]]:
+        """Per-disjunct scatter verdicts (rule by rule) and, for ``scatter``,
+        the fan-out it would consult.  The greedy join order is included
+        only when the merged target view is already current — explaining
+        must not force the merged rebuild a real ``merged``-route query
+        would."""
         if isinstance(query, ConjunctiveQuery):
             disjuncts = [query]
         elif isinstance(query, UnionOfConjunctiveQueries):
@@ -1688,16 +1488,12 @@ class ShardedExchange:
             for cq in disjuncts
             for safe, rule in (self.plan.scatter_verdict(cq),)
         )
-        scatter_safe = bool(disjuncts) and all(rule.safe for rule in rules)
         fanout = None
-        if probe.outcome == "hit":
-            route = "cache"
+        if route == "cache":
             reason = "composed version vector matched a stored entry"
-        elif scatter_safe:
-            route = "scatter"
-            live = self._scatter_live(query, relations)
+        elif route == "scatter":
             routing = self._router.snapshot()
-            pinned = self.plan.scatter_shards(query, routing)
+            live, pinned = self._scatter_live(query, relations, routing)
             fanout = ShardFanout(
                 shards=len(self.shards),
                 pinned=None if pinned is None else tuple(sorted(pinned)),
@@ -1712,27 +1508,23 @@ class ShardedExchange:
             reason = (
                 f"every disjunct provably intra-shard; "
                 f"{len(live)}/{len(self.shards)} shards consulted "
-                f"(cache {probe.outcome})"
+                f"(cache {cache_outcome})"
+            )
+        elif disjuncts:
+            unsafe = next(rule for rule in rules if not rule.safe)
+            reason = (
+                f"disjunct {unsafe.query!r} not provably intra-shard "
+                f"({unsafe.rule}); evaluated over the merged target view "
+                f"(cache {cache_outcome})"
             )
         else:
-            route = "merged"
-            if disjuncts:
-                unsafe = next(rule for rule in rules if not rule.safe)
-                reason = (
-                    f"disjunct {unsafe.query!r} not provably intra-shard "
-                    f"({unsafe.rule}); evaluated over the merged target view "
-                    f"(cache {probe.outcome})"
-                )
-            else:
-                rules = (
-                    ScatterRule(
-                        query=query_fingerprint(query), safe=False, rule="non-ucq"
-                    ),
-                )
-                reason = (
-                    f"monotone non-UCQ: evaluated over the merged target view "
-                    f"(cache {probe.outcome})"
-                )
+            rules = (
+                ScatterRule(query=query_fingerprint(query), safe=False, rule="non-ucq"),
+            )
+            reason = (
+                f"monotone non-UCQ: evaluated over the merged target view "
+                f"(cache {cache_outcome})"
+            )
         join_order = ()
         with self._merged_mutex:
             merged_current = (
@@ -1741,33 +1533,8 @@ class ShardedExchange:
             )
             merged = self._merged_target if merged_current else None
         if merged is not None:
-            join_order = MaterializedExchange._explain_join_order(query, merged)
-        return QueryExplain(
-            scenario=None,
-            query=query_fingerprint(query),
-            route=route,
-            monotone=True,
-            reason=reason,
-            cache=probe,
-            scatter=rules,
-            fanout=fanout,
-            join_order=join_order,
-        )
-
-    def certain_answers(
-        self,
-        query: AnyQuery,
-        extra_constants: int | None = None,
-        max_extra_tuples: int | None = None,
-    ) -> set[tuple]:
-        """Plain-set convenience wrapper over :meth:`answer`."""
-        return set(
-            self.answer(
-                query,
-                extra_constants=extra_constants,
-                max_extra_tuples=max_extra_tuples,
-            ).answers
-        )
+            join_order = self._explain_join_order(query, merged)
+        return reason, {"scatter": rules, "fanout": fanout, "join_order": join_order}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sizes = ", ".join(str(len(shard.source)) for shard in self.shards)

@@ -28,7 +28,6 @@ from repro.serving.elastic import (
     project_worker_loads,
 )
 from repro.serving.materialized import MaterializedExchange, ServingError
-from repro.serving.sharding import shard_of_value
 from repro.workloads.elastic import elastic_workload, hot_bucket_customers
 from repro.workloads.skewed import skewed_workload
 
@@ -44,7 +43,7 @@ def test_initial_table_routes_exactly_like_the_modulo_layout():
         assert table.epoch == 0
         assert table.buckets == workers * DEFAULT_BUCKETS_PER_WORKER
         for value in ["a", "b", b"c", 0, 1, 17, 1.0, True, ("t", 1)]:
-            assert table.worker_of_value(value) == shard_of_value(value, workers)
+            assert table.worker_of_value(value) == bucket_of_value(value, workers)
 
 
 def test_equal_keys_bucket_identically_across_spellings():

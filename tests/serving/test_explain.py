@@ -66,9 +66,12 @@ def test_explain_matches_routes_on_serving_workload():
     assert {"core", "target", "cache"} <= seen
 
 
-def test_explain_deqa_and_error_routes():
+@pytest.mark.parametrize("shards", [None, 2], ids=["unsharded", "sharded"])
+def test_explain_deqa_and_error_routes(shards):
     # DEQA enumerates candidate extensions, so the scenario stays tiny —
-    # the routes, not the answers, are under test here.
+    # the routes, not the answers, are under test here.  Both exchange
+    # kinds share one query front; running it sharded too covers that
+    # front's deqa/cache/error branches behind the sharded version vector.
     from repro.core.mapping import mapping_from_rules
     from repro.relational.builders import make_instance
 
@@ -82,7 +85,7 @@ def test_explain_deqa_and_error_routes():
     )
     idle = Query("~ (exists p . Team(e, p))", ("e",), name="idle")
     service = ExchangeService()
-    service.register("emp", mapping, source)
+    service.register("emp", mapping, source, shards=shards)
     explain = assert_explain_matches(service, "emp", idle)
     assert explain.route == "deqa"
     assert not explain.monotone
@@ -95,12 +98,18 @@ def test_explain_deqa_and_error_routes():
 
     churn = churn_workload(employees=40, squads=8, departments=6, batches=4)
     service.register(
-        "churn", churn.mapping, churn.source, churn.target_dependencies
+        "churn",
+        churn.mapping,
+        churn.source,
+        churn.target_dependencies,
+        shards=shards,
     )
     boss_less = Query("~ (exists m . Mgr(d, m))", ("d",), name="boss_less")
     error = assert_explain_matches(service, "churn", boss_less)
     assert error.route == "error"
     assert "target dependencies" in error.reason
+    service.deregister("emp")
+    service.deregister("churn")
 
 
 def test_explain_matches_routes_on_churn_workload():

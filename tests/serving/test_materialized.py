@@ -491,17 +491,6 @@ def test_mixed_delta_with_egd_entangled_retraction_replays():
     )
 
 
-def test_deprecated_shims_delegate_and_warn():
-    from repro.serving import ServingDeprecationWarning
-
-    exchange_ = register()
-    with pytest.warns(ServingDeprecationWarning, match="apply_delta"):
-        assert exchange_.add_source_facts([("Emp", ("carol", "d3"))]) == 1
-    with pytest.warns(ServingDeprecationWarning, match="apply_delta"):
-        assert exchange_.retract_source_facts([("Emp", ("carol", "d3"))]) == 1
-    assert exchange_.update_stats.batches == 2
-
-
 def test_addition_path_extends_the_target_in_place():
     # ROADMAP open item closed by this PR: the addition path used to chase a
     # per-batch copy and rebind it behind `_version_base` offsets; now the

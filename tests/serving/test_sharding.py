@@ -19,6 +19,7 @@ from repro.relational.builders import make_instance
 from repro.serving import (
     ExchangeService,
     PartitionSpec,
+    RoutingTable,
     ServingError,
     ShardedExchange,
     compile_mapping,
@@ -133,16 +134,16 @@ def test_scatter_safety_classification():
 
 
 def test_constant_key_queries_pin_their_worker_shard():
-    from repro.serving.sharding import shard_of_value
-
     workload = skewed_workload(customers=8, accounts=40, batches=0)
     compiled = compile_mapping(workload.mapping, workload.target_dependencies)
     plan = compiled.shard_plan(PartitionSpec(4))
     hot = next(q for q in workload.queries if q.name == "accounts_c0")
-    pinned = plan.scatter_shards(hot)
-    assert pinned == {shard_of_value("c0", 4)}
+    routing = RoutingTable.initial(4)
+    pinned = plan.scatter_shards(hot, routing)
+    assert pinned == {routing.worker_of_value("c0")}
     # A variable-key query may match anywhere: no pruning.
-    assert plan.scatter_shards(cq(["c", "a"], [("Acct", ["c", "a"])])) is None
+    anywhere = cq(["c", "a"], [("Acct", ["c", "a"])])
+    assert plan.scatter_shards(anywhere, routing) is None
     # The pruned scatter still answers exactly like the unsharded exchange.
     exchange = ShardedExchange("pin", compiled, workload.source, PartitionSpec(4))
     flat = ShardedExchange(
@@ -194,7 +195,8 @@ def test_force_residual_degenerates_the_whole_plan():
     # scatter-"safe" (a one-shard scatter) — the residual shard holds it all.
     assert all(plan.scatter_safe(q) for q in workload.queries)
     # Routing sends every fact to the residual shard.
-    assert plan.shard_of("Account", ("c1", "a1")) == plan.spec.shards
+    routing = RoutingTable.initial(4)
+    assert plan.shard_of("Account", ("c1", "a1"), routing) == plan.spec.shards
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +216,12 @@ def test_routing_agrees_with_python_equality_on_mixed_key_types():
     """Regression: routing must follow ``==`` (the join semantics), not the
     spelling of the key — ``1``, ``1.0`` and ``True`` are one join key and
     must co-locate, or a key-join trigger spanning them never fires."""
-    from repro.serving.sharding import shard_of_value
-
     for shards in (2, 3, 4, 7):
+        routing = RoutingTable.initial(shards)
         assert (
-            shard_of_value(1, shards)
-            == shard_of_value(1.0, shards)
-            == shard_of_value(True, shards)
+            routing.worker_of_value(1)
+            == routing.worker_of_value(1.0)
+            == routing.worker_of_value(True)
         )
     mapping = mapping_from_rules(
         ["T(x, y, z) :- R(k, x) & S(k, y, z)"],
@@ -245,7 +246,9 @@ def test_shard_routing_is_stable_and_partitions_the_source():
         total = sum(len(shard.source) for shard in exchange.shards)
         assert total == len(exchange.source)
         for relation, tup in exchange.source.facts():
-            index = exchange.plan.shard_of(relation, tup)
+            index = exchange.plan.shard_of(
+                relation, tup, exchange.routing_snapshot()
+            )
             assert (relation, tup) in exchange.shards[index].source
             # every other shard does not hold the fact
             assert all(
@@ -308,27 +311,11 @@ def test_rebuild_shard_restores_the_pre_batch_state():
         query = cq(["c", "a"], [("Acct", ["c", "a"])], name="acct")
         before = exchange.certain_answers(query)
         fact = ("Account", ("c1", "backstop"))
-        index = exchange.plan.shard_of(*fact)
+        index = exchange.plan.shard_of(*fact, exchange.routing_snapshot())
         applied = exchange.shards[index].apply_delta(added=[fact])
         exchange._rebuild_shard(index, applied)
         assert (fact not in exchange.shards[index].source)
         exchange._cache.invalidate_all()
-        assert exchange.certain_answers(query) == before
-    finally:
-        exchange.close()
-
-
-def test_sharded_deprecated_shims_warn_like_the_unsharded_ones():
-    exchange = fresh_sharded()
-    try:
-        from repro.serving import ServingDeprecationWarning
-
-        query = cq(["c", "a"], [("Acct", ["c", "a"])], name="acct")
-        before = exchange.certain_answers(query)
-        with pytest.warns(ServingDeprecationWarning):
-            assert exchange.add_source_facts([("Account", ("c1", "shim"))]) == 1
-        with pytest.warns(ServingDeprecationWarning):
-            assert exchange.retract_source_facts([("Account", ("c1", "shim"))]) == 1
         assert exchange.certain_answers(query) == before
     finally:
         exchange.close()
