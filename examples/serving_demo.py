@@ -13,7 +13,7 @@ scoped to the relations the batch touched, registers the same mapping as a
 per-shard stats), prints ``service.explain(...)`` plans and enabled-tracer
 span trees for one scatter and one merged-route query, moves the shards
 into dedicated **worker processes** (``shard_workers="process"``) and kills
-one to show graceful degradation (caught by the flight recorder), splits a
+one to show the front swapping its slot (caught by the flight recorder), splits a
 structurally hot shard live with ``service.rebalance`` (epoch-published
 bucket handoff, answers pinned across the move), then lets the monitor's
 **autopilot** heal a second hot scenario with no rebalance call at all
@@ -160,16 +160,17 @@ def main() -> None:
     procs = service.scenario("employees@procs").sharding_stats()
     print(f"workers: mode={procs.worker_mode}, failures={procs.worker_failures}")
 
-    print("\n== Kill a worker: the shard degrades to in-process, answers keep flowing ==")
+    print("\n== Kill a worker: the front swaps the slot, answers keep flowing ==")
     victim = service.scenario("employees@procs").shards[0]
     victim.kill_worker()  # simulate an OOM-killed / crashed worker
-    # The next delta hits the dead pipe; the shard rebuilds in-process and
-    # replays the batch — the scenario never observes the failure.
+    # The next delta hits the dead pipe; the front swaps the slot for an
+    # in-process exchange and replays the batch on it — the scenario never
+    # observes the failure.
     service.update("employees@procs", add=[("Emp", ("finn", "infra"))])
     print(f"employees: {describe(service.query('employees@procs', by_dept))}  <- still correct")
     procs = service.scenario("employees@procs").sharding_stats()
     print(f"workers: failures={procs.worker_failures}, "
-          f"degraded={[getattr(s, 'degraded', False) for s in service.scenario('employees@procs').shards]}")
+          f"states={service.scenario('employees@procs').shard_states()}")
 
     print("\n== The flight recorder caught the rare-path events ==")
     for event in FLIGHT_RECORDER.events(scenario="employees@procs"):

@@ -26,7 +26,7 @@ Three coordinated surfaces, all importable from :mod:`repro.obs`:
   scatter verdicts, greedy join order with estimated vs actual
   cardinalities, the cache guard's version vector), and
   ``FLIGHT_RECORDER`` keeps a bounded ring of recent rare-path events
-  (worker deaths, degradations, rollbacks, egd replays) for
+  (worker deaths, rollbacks, egd replays) for
   postmortems.
 
 * :mod:`repro.obs.monitor` — observability over *time* and the first

@@ -1,14 +1,14 @@
 """A bounded flight recorder for rare-path serving events.
 
-Worker deaths, shard degradations, update rollbacks and egd-forced
+Worker deaths, shard rollbacks and rebuilds, reshards and egd-forced
 replays are individually rare but collectively the whole story of a
 production incident.  The recorder is a fixed-size ring (old events
 fall off the back) and is *always on* — every recorded event sits on a
 failure/recovery path, never on the per-query or per-probe hot paths,
 so there is nothing to gate.
 
-Events carry a wall-clock stamp, a kind (``worker_death``,
-``degradation``, ``rollback``, ``egd_replay``, ...), the scenario they
+Events carry a wall-clock stamp, a kind (``worker_failure``,
+``shard_rollback``, ``shard_rebuild``, ``egd_replay``, ...), the scenario they
 belong to when known, and free-form detail.
 """
 

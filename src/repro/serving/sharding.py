@@ -95,9 +95,9 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.core.certain import AnyQuery, certain_answers_naive
 from repro.logic.cq import ConjunctiveQuery, UnionOfConjunctiveQueries
@@ -118,6 +118,7 @@ from repro.serving.elastic import (
     TopKCounter,
 )
 from repro.serving.materialized import (
+    AnswerOutcome,
     AppliedDelta,
     ExchangeFront,
     Fact,
@@ -126,6 +127,7 @@ from repro.serving.materialized import (
     normalise_delta,
 )
 from repro.serving.registry import CompiledMapping
+from repro.serving.workers import ProcessShard, WorkerGone
 
 # Pre-bound instrument handle: the scatter fan-out size per query, observed
 # once per scatter (never inside the per-shard loop).
@@ -137,6 +139,10 @@ _SCATTER_FANOUT = METRICS.histogram(
 _RESHARDS_TOTAL = METRICS.counter(
     "sharding.reshards_total", "Committed live reshards (bucket handoffs)"
 )
+#: Version salt per slot generation: a worker death's in-process replacement
+#: restarts its raw counters, and the salt keeps the composed vector from
+#: aliasing anything observed before the death.
+_GENERATION_SALT = 1 << 40
 _RESHARD_PUBLISH = METRICS.histogram(
     "sharding.reshard_publish_seconds",
     "Exclusive publish window per committed reshard (the reader-visible part)",
@@ -670,6 +676,20 @@ def analyse_shardability(
     )
 
 
+def _apply_counting_replays(
+    added: list[Fact], removed: list[Fact]
+) -> Callable[[Any], tuple[AppliedDelta, int]]:
+    """A per-shard apply call that also reports the egd replays it cost,
+    read off the backend that served it."""
+
+    def call(shard: Any) -> tuple[AppliedDelta, int]:
+        before = shard.update_stats.replays
+        applied = shard.apply_delta(added=added, removed=removed)
+        return applied, shard.update_stats.replays - before
+
+    return call
+
+
 @dataclass(frozen=True)
 class ShardingStats:
     """An epoch-consistent snapshot of one sharded scenario.
@@ -698,7 +718,8 @@ class ShardingStats:
     # Execution backend: "thread" = in-process shards on the thread pool,
     # "process" = one worker process per shard (repro.serving.workers).
     worker_mode: str = "thread"
-    # Worker deaths/timeouts that degraded a shard to in-process evaluation.
+    # Worker deaths/timeouts; each one swapped its slot for an in-process
+    # exchange.
     worker_failures: int = 0
     # The live routing table's epoch and bucket count (repro.serving.elastic);
     # the epoch advances once per committed reshard.
@@ -706,9 +727,9 @@ class ShardingStats:
     buckets: int = 0
     # Committed live reshards (bucket handoffs) on this exchange.
     reshards: int = 0
-    # Summed process-shard generations (0 under thread mode): every worker
-    # respawn bumps a shard's generation, so a rising total is restart
-    # churn — the monitor's generation-churn rule watches the delta.
+    # Summed per-slot generations (0 under thread mode): every worker death
+    # bumps its slot's generation, so a rising total is restart churn — the
+    # monitor's generation-churn rule watches the delta.
     worker_generation_total: int = 0
     # Per worker shard: the bounded top-K ingest histogram of partition keys
     # (cumulative traffic, the rebalancer's capacity-debugging signal).
@@ -755,6 +776,11 @@ class ShardedExchange(ExchangeFront):
         self._worker_mode = worker_mode
         self._worker_timeout = worker_timeout
         self._worker_failures = 0
+        # Per slot: worker deaths.  Salts the slot's version entries (a
+        # replacement restarts its counters) and is the ``gen=N`` of
+        # shard_states(); _swap_mutex makes each death one swap.
+        self._generations = [0] * (partition.shards + 1)
+        self._swap_mutex = threading.RLock()
         self._epoch = 0
         self._counter_mutex = threading.Lock()
         self._scatter_queries = 0
@@ -768,10 +794,11 @@ class ShardedExchange(ExchangeFront):
         self._key_hist = tuple(TopKCounter() for _ in range(partition.shards))
         # The lazily maintained merged target view (the fallback for
         # monotone queries that may join across the partition), guarded by
-        # the composed version vector like any cache entry.
+        # the composed version vector like any cache entry.  One
+        # ``(versions, view)`` attribute, so dropping it needs no lock; the
+        # mutex only serialises rebuilds.
         self._merged_mutex = threading.Lock()
-        self._merged_target: Optional[Instance] = None
-        self._merged_versions: Optional[VersionVector] = None
+        self._merged_view: Optional[tuple[VersionVector, Instance]] = None
         # The parent side of the wire interner (process mode only): one table
         # shared by every shard channel, synchronised incrementally.
         self._worker_interner = ValueInterner() if worker_mode == "process" else None
@@ -805,21 +832,30 @@ class ShardedExchange(ExchangeFront):
         )
 
     def _make_shard(self, index: int, shard_source: Instance):
-        """One shard backend in the configured mode (init and rebuilds)."""
-        if self._worker_mode == "process":
-            from repro.serving.workers import ProcessShard
+        """One shard backend in the configured mode (init, rebuilds, shadows).
 
-            return ProcessShard(
-                self._shard_name(index),
-                index,
-                self.compiled,
-                shard_source,
-                self._worker_interner,
-                max_chase_steps=self._max_chase_steps,
-                cache_capacity=self._cache_capacity,
-                timeout=self._worker_timeout,
-                on_failure=self._note_worker_failure,
-            )
+        A worker that dies during its first build is a death like any
+        other: the slot starts in-process, which also surfaces any real
+        scenario error (no solution, non-termination) exactly like thread
+        mode.
+        """
+        if self._worker_mode == "process":
+            try:
+                return ProcessShard(
+                    self._shard_name(index),
+                    index,
+                    self.compiled,
+                    shard_source,
+                    self._worker_interner,
+                    max_chase_steps=self._max_chase_steps,
+                    cache_capacity=self._cache_capacity,
+                    timeout=self._worker_timeout,
+                )
+            except WorkerGone as gone:
+                self._note_worker_death(index, str(gone))
+        return self._local_shard(index, shard_source)
+
+    def _local_shard(self, index: int, shard_source: Instance) -> MaterializedExchange:
         return MaterializedExchange(
             self._shard_name(index),
             self.compiled,
@@ -834,19 +870,99 @@ class ShardedExchange(ExchangeFront):
         if close is not None:  # process shards own a worker process
             close()
 
-    def _note_worker_failure(self, index: int, reason: str) -> None:
-        """A shard worker died/timed out and degraded to in-process mode.
-
-        The degraded shard's generation-salted versions already stale every
-        cache entry and the merged view; dropping the cache outright keeps
-        the (rare) failure path obviously safe rather than audited-safe.
-        """
+    def _note_worker_death(self, index: int, reason: str) -> None:
         with self._counter_mutex:
             self._worker_failures += 1
+        self._generations[index] += 1
         FLIGHT_RECORDER.record(
             "worker_failure", scenario=self.name, shard=index, reason=reason
         )
-        self._cache.invalidate_all()
+
+    def _swap_shards(self, replacements: Mapping[int, Any]) -> None:
+        """Install new backends in the given slots and close the old ones.
+
+        The one writer of ``self.shards`` after construction: rollback
+        rebuilds, reshard commits and worker deaths all come through here.
+        A replacement restarts its version counters, so the answer cache
+        and the merged view are dropped *before* the new tuple is published.
+        """
+        with self._swap_mutex:
+            self._cache.invalidate_all()
+            self._merged_view = None
+            shards = list(self.shards)
+            old = [shards[index] for index in replacements]
+            for index, shard in replacements.items():
+                shards[index] = shard
+            self.shards = tuple(shards)
+        for shard in old:
+            self._close_shard(shard)
+
+    def _replace_dead(
+        self, index: int, dead: Any, reason: str, shadows: Optional[dict] = None
+    ) -> Any:
+        """Swap a dead worker's slot for an in-process exchange, once.
+
+        The replacement is built from the proxy's source mirror, which is
+        pre-batch-exact.  A request that saw the same death after the swap
+        finds the slot no longer holds ``dead`` and gets the live backend.
+        ``shadows`` names the slot map of a reshard prepare instead of the
+        live tuple.  The generation bumps after the swap is published (see
+        :meth:`_target_versions`).
+        """
+        with self._swap_mutex:
+            current = (self.shards if shadows is None else shadows)[index]
+            if current is not dead:
+                return current
+            local = self._local_shard(index, dead.source)
+            if shadows is None:
+                self._swap_shards({index: local})
+            else:
+                shadows[index] = local
+                self._close_shard(dead)
+            self._note_worker_death(index, reason)
+            return local
+
+    def _on_shard(
+        self, index: int, call: Callable[[Any], Any], shadows: Optional[dict] = None
+    ) -> Any:
+        """Run ``call`` on slot ``index``'s backend (its shadow in ``shadows``).
+
+        The one place a dead worker is handled: on :class:`WorkerGone` the
+        slot is swapped (:meth:`_replace_dead`) and ``call`` is retried on
+        the in-process replacement.
+        """
+        shard = (self.shards if shadows is None else shadows)[index]
+        try:
+            return call(shard)
+        except WorkerGone as gone:
+            return call(self._replace_dead(index, shard, str(gone), shadows))
+
+    def _fan_out(
+        self, span: str, jobs: Iterable[tuple[int, Callable[[Any], Any], dict]]
+    ) -> list[Future]:
+        """Submit one :meth:`_on_shard` call per ``(index, call, attrs)`` job.
+
+        Traced, each call runs under a ``span`` named after its shard, with
+        ``attrs`` and (for answers) the shard's route, parented to the
+        caller's current span.  Untraced, this is the batch's or query's one
+        ``TRACER.enabled`` read.
+        """
+        if not TRACER.enabled:
+            return [
+                self._pool.submit(self._on_shard, index, call)
+                for index, call, _ in jobs
+            ]
+        parent = TRACER.current()
+
+        def traced(index: int, call: Callable[[Any], Any], attrs: dict) -> Any:
+            with TRACER.context(parent):
+                with TRACER.span(span, shard=self._shard_name(index), **attrs) as shard_span:
+                    result = self._on_shard(index, call)
+                    if isinstance(result, AnswerOutcome):
+                        shard_span.annotate(route=result.route, cached=result.cached)
+                    return result
+
+        return [self._pool.submit(traced, *job) for job in jobs]
 
     def _shard_name(self, index: int) -> str:
         if index == self.plan.spec.shards:
@@ -881,18 +997,16 @@ class ShardedExchange(ExchangeFront):
 
     def shard_states(self) -> tuple[str, ...]:
         """One state string per shard (worker shards first, residual last):
-        ``"thread"``, ``"process(gen=N)"`` or ``"degraded(gen=N)"`` — the
-        per-shard generation the explain layer reports after failures."""
-        states = []
-        for shard in self.shards:
-            degraded = getattr(shard, "degraded", None)
-            if degraded is None:
-                states.append("thread")
-            elif degraded:
-                states.append(f"degraded(gen={shard.generation})")
-            else:
-                states.append(f"process(gen={shard.generation})")
-        return tuple(states)
+        ``"thread"``, ``"process(gen=N)"`` or ``"degraded(gen=N)"`` (a
+        process-mode slot whose worker died, now served in-process) — ``N``
+        counts the worker deaths in the slot, as the explain layer reports."""
+        if self._worker_mode == "thread":
+            return ("thread",) * len(self.shards)
+        return tuple(
+            f"{'process' if isinstance(shard, ProcessShard) else 'degraded'}"
+            f"(gen={generation})"
+            for generation, shard in zip(self._generations, self.shards)
+        )
 
     @property
     def residual(self):
@@ -924,20 +1038,17 @@ class ShardedExchange(ExchangeFront):
         size is reported; otherwise the per-shard sum stands in (an upper
         bound — shards may derive the same all-constant fact independently).
         """
-        with self._merged_mutex:
-            if (
-                self._merged_target is not None
-                and self._merged_versions == self._target_versions()
-            ):
-                return len(self._merged_target)
+        view = self._merged_view
+        if view is not None and view[0] == self._target_versions():
+            return len(view[1])
         return sum(shard.target_size for shard in self.shards)
 
     @property
     def canonical(self) -> Instance:
         """The union of the shard canonical layers (built fresh per call)."""
         merged = Instance(schema=self.compiled.mapping.target)
-        for shard in self.shards:
-            for fact in shard.canonical.facts():
+        for index in range(len(self.shards)):
+            for fact in self._on_shard(index, lambda shard: shard.canonical).facts():
                 merged.add(*fact)
         return merged
 
@@ -987,9 +1098,7 @@ class ShardedExchange(ExchangeFront):
             routing_epoch=routing.epoch,
             buckets=routing.buckets,
             reshards=reshards,
-            worker_generation_total=sum(
-                getattr(shard, "generation", 0) or 0 for shard in self.shards
-            ),
+            worker_generation_total=sum(self._generations),
             key_histograms=tuple(hist.top() for hist in self._key_hist),
         )
 
@@ -1039,38 +1148,22 @@ class ShardedExchange(ExchangeFront):
             per_shard.setdefault(index, ([], []))[1].append(fact)
 
         self.update_stats.batches += 1
-        replays_before = sum(shard.update_stats.replays for shard in self.shards)
-        if TRACER.enabled:
-            parent = TRACER.current()
-
-            def traced_apply(index, adds, removes):
-                with TRACER.context(parent):
-                    with TRACER.span(
-                        "shard.apply_delta",
-                        shard=self._shard_name(index),
-                        added=len(adds),
-                        removed=len(removes),
-                    ):
-                        return self.shards[index].apply_delta(
-                            added=adds, removed=removes
-                        )
-
-            futures = {
-                index: self._pool.submit(traced_apply, index, adds, removes)
-                for index, (adds, removes) in sorted(per_shard.items())
-            }
-        else:
-            futures = {
-                index: self._pool.submit(
-                    self.shards[index].apply_delta, added=adds, removed=removes
-                )
-                for index, (adds, removes) in sorted(per_shard.items())
-            }
+        jobs = [
+            (
+                index,
+                _apply_counting_replays(adds, removes),
+                {"added": len(adds), "removed": len(removes)},
+            )
+            for index, (adds, removes) in sorted(per_shard.items())
+        ]
+        futures = self._fan_out("shard.apply_delta", jobs)
         applied: dict[int, AppliedDelta] = {}
+        replays = 0
         failure: Optional[BaseException] = None
-        for index, future in futures.items():
+        for (index, _, _), future in zip(jobs, futures):
             try:
-                applied[index] = future.result()
+                applied[index], shard_replays = future.result()
+                replays += shard_replays
             except Exception as exc:  # noqa: BLE001 - collected, re-raised below
                 if failure is None:
                     failure = exc
@@ -1083,8 +1176,11 @@ class ShardedExchange(ExchangeFront):
                 if not delta:
                     continue
                 try:
-                    self.shards[index].apply_delta(
-                        added=delta.removed, removed=delta.added
+                    self._on_shard(
+                        index,
+                        lambda shard: shard.apply_delta(
+                            added=delta.removed, removed=delta.added
+                        ),
                     )
                 except Exception:  # pragma: no cover - e.g. a step-budgeted
                     # egd replay on the inverse path.  A shard left at the
@@ -1103,11 +1199,6 @@ class ShardedExchange(ExchangeFront):
                 error=str(failure),
             )
             self._cache.invalidate_all()
-            with self._merged_mutex:
-                # A rebuilt shard restarts its version counters, which could
-                # alias the composed vector the merged view was built under.
-                self._merged_target = None
-                self._merged_versions = None
             raise failure
 
         for fact in to_remove:
@@ -1117,9 +1208,9 @@ class ShardedExchange(ExchangeFront):
         self.update_stats.trigger_rounds += 1
         self.update_stats.target_repairs += 1
         self.update_stats.invalidation_rounds += 1
-        self.update_stats.replays += (
-            sum(shard.update_stats.replays for shard in self.shards) - replays_before
-        )
+        # Counted per call on the backend that served it, so a slot swapped
+        # mid-batch neither loses nor double-counts replays.
+        self.update_stats.replays += replays
         self._epoch += 1
         with self._counter_mutex:
             self._fanout_applies += len(futures)
@@ -1146,12 +1237,7 @@ class ShardedExchange(ExchangeFront):
             restored.discard(*fact)
         for fact in applied.removed:
             restored.add(*fact)
-        old = self.shards[index]
-        rebuilt = self._make_shard(index, restored)
-        shards = list(self.shards)
-        shards[index] = rebuilt
-        self.shards = tuple(shards)
-        self._close_shard(old)
+        self._swap_shards({index: self._make_shard(index, restored)})
 
     # -- live reshard (elastic bucket handoff) -----------------------------
 
@@ -1212,9 +1298,10 @@ class ShardedExchange(ExchangeFront):
         through the same inverse-delta-protected ``apply_delta`` the data
         plane trusts — one mixed batch per shadow, removes on donors, adds
         on recipients.  The live shards keep serving the old layout
-        throughout; any failure (a chase error, a shadow worker-process
-        death that fails even its degraded rebuild) discards the shadows
-        and leaves the exchange exactly as it was.
+        throughout.  A shadow whose worker dies is swapped for an in-process
+        exchange like a live slot; any failure (a chase error, or one in
+        that replacement) discards the shadows and leaves the exchange
+        exactly as it was.
 
         Requires writers to be excluded (the service holds the scenario
         read lock, which its writer-preferring lock guarantees); concurrent
@@ -1258,11 +1345,16 @@ class ShardedExchange(ExchangeFront):
         shadows: dict[int, Any] = {}
         try:
             for index in sorted(set(outgoing) | set(incoming)):
-                shadow = self._make_shard(index, self.shards[index].source.copy())
-                shadows[index] = shadow
-                shadow.apply_delta(
-                    added=incoming.get(index, ()),
-                    removed=outgoing.get(index, ()),
+                shadows[index] = self._make_shard(
+                    index, self.shards[index].source.copy()
+                )
+                self._on_shard(
+                    index,
+                    lambda shadow: shadow.apply_delta(
+                        added=incoming.get(index, ()),
+                        removed=outgoing.get(index, ()),
+                    ),
+                    shadows,
                 )
         except BaseException as exc:
             for shadow in shadows.values():
@@ -1304,20 +1396,8 @@ class ShardedExchange(ExchangeFront):
             )
             self.abort_reshard(pending, reason=reason)
             raise ServingError(f"stale reshard: {reason}; re-prepare and retry")
-        old: list[Any] = []
-        shards = list(self.shards)
-        for index, shadow in pending.shadows.items():
-            old.append(shards[index])
-            shards[index] = shadow
-        self.shards = tuple(shards)
+        self._swap_shards(pending.shadows)
         self._router.publish(pending.table)
-        # The epoch-salted version vectors already stale every entry built
-        # under the old routing; dropping the cache keeps the rare path
-        # obviously safe (same stance as the worker-failure path).
-        self._cache.invalidate_all()
-        with self._merged_mutex:
-            self._merged_target = None
-            self._merged_versions = None
         with self._counter_mutex:
             self._reshards += 1
         pending.publish_seconds = time.perf_counter() - begin
@@ -1334,8 +1414,6 @@ class ShardedExchange(ExchangeFront):
             moved_facts=pending.moved_facts,
             moved_keys=pending.moved_keys,
         )
-        for shard in old:
-            self._close_shard(shard)
         return pending
 
     def abort_reshard(self, pending: PendingReshard, reason: str = "aborted") -> None:
@@ -1375,15 +1453,22 @@ class ShardedExchange(ExchangeFront):
         the leading component: a committed reshard moves facts between
         shards *and* replaces shard backends (whose counters restart), so
         without the epoch a post-reshard vector could alias a pre-reshard
-        one and the cache or merged view would serve a torn layout.
+        one and the cache or merged view would serve a torn layout.  Each
+        slot's entries are salted with its generation for the same reason:
+        a dead worker's replacement restarts its counters.  Generations are
+        read before the shards, and a death publishes the swap before the
+        bump, so a vector never pairs a dead worker's counters with the
+        new salt.
         """
         names = list(relations) if relations is not None else None
+        generations = tuple(self._generations)
         entries: list[tuple[str, int]] = [
             ("__routing__", self._router.snapshot().epoch)
         ]
         for index, shard in enumerate(self.shards):
+            salt = generations[index] * _GENERATION_SALT
             for name, version in shard._target_versions(names):
-                entries.append((f"s{index}:{name}", version))
+                entries.append((f"s{index}:{name}", version + salt))
         return tuple(entries)
 
     def _merged(self) -> Instance:
@@ -1396,14 +1481,15 @@ class ShardedExchange(ExchangeFront):
         """
         with self._merged_mutex:
             versions = self._target_versions()
-            if self._merged_target is None or self._merged_versions != versions:
+            view = self._merged_view
+            if view is None or view[0] != versions:
                 merged = Instance(schema=self.compiled.mapping.target)
-                for shard in self.shards:
-                    for fact in shard.target.facts():
+                for index in range(len(self.shards)):
+                    target = self._on_shard(index, lambda shard: shard.target)
+                    for fact in target.facts():
                         merged.add(*fact)
-                self._merged_target = merged
-                self._merged_versions = versions
-            return self._merged_target
+                view = self._merged_view = (versions, merged)
+            return view[1]
 
     def _monotone_route(self, query: AnyQuery) -> str:
         """``scatter`` when :meth:`ShardPlan.scatter_safe` proves the query
@@ -1422,21 +1508,10 @@ class ShardedExchange(ExchangeFront):
             return answers
         live, _ = self._scatter_live(query, relations, self._router.snapshot())
         with TRACER.span("exchange.scatter", fanout=len(live), shards=len(self.shards)):
-            if TRACER.enabled:
-                parent = TRACER.current()
-
-                def traced_answer(shard):
-                    with TRACER.context(parent):
-                        with TRACER.span("shard.answer", shard=shard.name) as shard_span:
-                            outcome = shard.answer(query)
-                            shard_span.annotate(
-                                route=outcome.route, cached=outcome.cached
-                            )
-                            return outcome
-
-                futures = [self._pool.submit(traced_answer, shard) for shard in live]
-            else:
-                futures = [self._pool.submit(shard.answer, query) for shard in live]
+            futures = self._fan_out(
+                "shard.answer",
+                [(index, lambda shard: shard.answer(query), {}) for index in live],
+            )
             answers: set = set()
             with TRACER.span("exchange.merge"):
                 for future in futures:
@@ -1449,8 +1524,8 @@ class ShardedExchange(ExchangeFront):
 
     def _scatter_live(
         self, query: AnyQuery, relations: list[str], routing: RoutingTable
-    ) -> tuple[list[Any], Optional[frozenset[int]]]:
-        """The shards a scatter actually consults, and the pinned workers.
+    ) -> tuple[list[int], Optional[frozenset[int]]]:
+        """The slots a scatter actually consults, and the pinned workers.
 
         Shards holding none of the query's relations cannot contribute, and
         a disjunct with a constant on a key position pins its worker shard —
@@ -1462,7 +1537,7 @@ class ShardedExchange(ExchangeFront):
         pinned = self.plan.scatter_shards(query, routing)
         workers = self.plan.spec.shards
         live = [
-            shard
+            index
             for index, shard in enumerate(self.shards)
             if (pinned is None or index >= workers or index in pinned)
             and any(shard.target_relation_size(r) for r in relations)
@@ -1497,11 +1572,7 @@ class ShardedExchange(ExchangeFront):
             fanout = ShardFanout(
                 shards=len(self.shards),
                 pinned=None if pinned is None else tuple(sorted(pinned)),
-                consulted=tuple(
-                    index
-                    for index, shard in enumerate(self.shards)
-                    if shard in live
-                ),
+                consulted=tuple(live),
                 routing_epoch=routing.epoch,
                 states=self.shard_states(),
             )
@@ -1526,14 +1597,9 @@ class ShardedExchange(ExchangeFront):
                 f"(cache {cache_outcome})"
             )
         join_order = ()
-        with self._merged_mutex:
-            merged_current = (
-                self._merged_target is not None
-                and self._merged_versions == self._target_versions()
-            )
-            merged = self._merged_target if merged_current else None
-        if merged is not None:
-            join_order = self._explain_join_order(query, merged)
+        view = self._merged_view
+        if view is not None and view[0] == self._target_versions():
+            join_order = self._explain_join_order(query, view[1])
         return reason, {"scatter": rules, "fanout": fanout, "join_order": join_order}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

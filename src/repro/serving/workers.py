@@ -42,15 +42,13 @@ live request span.  Untraced requests carry ``None`` and cost nothing.
 Failure model
 -------------
 A worker that *rejects* a batch (egd conflict, blown step budget) has already
-rolled itself back; the parent re-raises :class:`ServingError` and the
+rolled itself back; the proxy re-raises :class:`ServingError` and the
 sharded all-or-nothing unwind proceeds exactly as in-process.  A worker that
-*dies* (killed, crashed, timed out) degrades gracefully: the parent rebuilds
-the shard in-process from its mirrored source slice — kept pre-batch-exact,
-it only advances on acknowledged commits — replays the in-flight delta if
-any, and keeps serving with ``ShardingStats.worker_failures`` counting the
-event.  Version vectors are salted with a per-shard *generation* that bumps
-on every degradation, so cache entries and merged views built against the
-dead worker can never alias the rebuilt state.
+*dies* (killed, crashed, timed out) surfaces as :class:`WorkerGone`, and the
+front swaps the slot: :class:`~repro.serving.sharding.ShardedExchange`
+replaces the proxy with an in-process exchange built from the proxy's
+mirrored source slice — kept pre-batch-exact, it only advances on
+acknowledged commits — and retries the call on it.
 """
 
 from __future__ import annotations
@@ -60,7 +58,6 @@ import threading
 from array import array
 from typing import Any, Callable, Iterable, Optional
 
-from repro.obs.flight import FLIGHT_RECORDER
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.relational.instance import Instance
@@ -84,11 +81,6 @@ __all__ = ["ProcessShard", "WorkerGone"]
 #: Worker ``index`` re-seeds ``Null._counter`` at ``(index + 1) * this`` so
 #: chase nulls minted in different processes occupy disjoint ident ranges.
 NULL_IDENT_STRIDE = 1 << 34
-
-#: Version-vector salt per degradation generation: a rebuilt in-process shard
-#: restarts its raw counters, and the salt keeps the composed vector from
-#: aliasing anything observed before the failure.
-GENERATION_SALT = 1 << 40
 
 # Pre-bound instrument handle: bytes of coded fact/answer buffers crossing
 # the worker pipe, observed once per round trip on the parent side.
@@ -329,11 +321,13 @@ def _worker_main(conn, index: int) -> None:
 class ProcessShard:
     """One shard's exchange, hosted in a worker process (see module docstring).
 
-    Duck-types the slice of the :class:`MaterializedExchange` surface the
-    sharded exchange uses — ``apply_delta``/``answer``/``update_stats``/
-    ``source``/``target``/``canonical``/``target_size``/
-    ``target_relation_size``/``core_size``/``_target_versions``/``close`` —
-    so :class:`~repro.serving.sharding.ShardedExchange` treats thread- and
+    A plain proxy: every request encodes, does one round trip, decodes, and
+    raises :class:`WorkerGone` or :class:`ServingError`.  It duck-types the
+    slice of the :class:`MaterializedExchange` surface the sharded exchange
+    uses — ``apply_delta``/``answer``/``update_stats``/``source``/``target``/
+    ``canonical``/``target_size``/``target_relation_size``/``core_size``/
+    ``_target_versions``/``close`` — so
+    :class:`~repro.serving.sharding.ShardedExchange` treats thread- and
     process-backed shards identically.
     """
 
@@ -347,29 +341,20 @@ class ProcessShard:
         max_chase_steps: int | None = None,
         cache_capacity: int | None = None,
         timeout: float | None = None,
-        on_failure: Callable[[int, str], None] | None = None,
     ):
         self.name = name
         self.index = index
         self.compiled = compiled
         # The parent-side mirror of the shard's source slice: advanced only on
         # acknowledged commits, so it is pre-batch-exact whenever the worker
-        # dies mid-batch — exactly what the degradation rebuild needs.
+        # dies mid-batch — exactly what the front rebuilds the slot from.
         self.source = source.copy()
         self._interner = interner
         self._watermark = 0  # dense parent constants already shipped
-        self._max_chase_steps = max_chase_steps
-        self._cache_capacity = cache_capacity
         self._timeout = timeout
-        self._on_failure = on_failure
         self._io_lock = threading.Lock()
         self._summary: Optional[tuple] = None
-        self._stats_base = (0, 0, 0, 0, 0, 0)
-        self._generation = 0
-        self._local: Optional[MaterializedExchange] = None
         self._layers: Optional[tuple[tuple, Instance, Instance]] = None
-        self._proc = None
-        self._conn = None
 
         ctx = multiprocessing.get_context("spawn")
         self._conn, child = ctx.Pipe()
@@ -396,10 +381,9 @@ class ProcessShard:
                     buffer,
                 )
             )
-        except WorkerGone as gone:
-            # Materializing in-process instead surfaces any real scenario
-            # error (no solution, non-termination) exactly like thread mode.
-            self._degrade(str(gone))
+        except BaseException:
+            self.close()
+            raise
 
     # -- wire plumbing -----------------------------------------------------
 
@@ -414,19 +398,23 @@ class ProcessShard:
     def _request(self, message: tuple) -> Any:
         """One round trip; registers reply extras and caches the summary.
 
-        Raises :class:`WorkerGone` on death/timeout/internal failure and
-        :class:`ServingError` when the worker rejected (and rolled back) the
-        request — the two failure classes the callers treat differently.
+        Raises :class:`WorkerGone` on death/timeout/internal failure (or a
+        closed proxy) and :class:`ServingError` when the worker rejected (and
+        rolled back) the request — the two failure classes the callers treat
+        differently.
         """
         with self._io_lock:
+            conn = self._conn
+            if conn is None:
+                raise WorkerGone(f"shard worker {self.index} is closed")
             try:
-                self._conn.send(message)
-                if self._timeout is not None and not self._conn.poll(self._timeout):
+                conn.send(message)
+                if self._timeout is not None and not conn.poll(self._timeout):
                     raise WorkerGone(
                         f"shard worker {self.index} timed out after {self._timeout}s"
                     )
-                reply = self._conn.recv()
-            except (EOFError, OSError, BrokenPipeError) as exc:
+                reply = conn.recv()
+            except (EOFError, OSError) as exc:
                 raise WorkerGone(f"shard worker {self.index} died: {exc}") from exc
         kind, payload, extras, summary, spans = reply
         if kind == "fatal":
@@ -439,44 +427,6 @@ class ProcessShard:
             raise ServingError(payload)
         return payload
 
-    def _shutdown_process(self) -> None:
-        proc, conn = self._proc, self._conn
-        self._proc = None
-        self._conn = None
-        if conn is not None:
-            try:
-                conn.send(("stop",))
-            except (OSError, BrokenPipeError, ValueError):
-                pass
-            conn.close()
-        if proc is not None:
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-
-    def _degrade(self, reason: str) -> None:
-        """Fall back to an in-process exchange built from the mirrored source."""
-        FLIGHT_RECORDER.record(
-            "worker_degraded", scenario=self.name, shard=self.index, reason=reason
-        )
-        if self._summary is not None:
-            self._stats_base = self._summary[5]
-        self._generation += 1
-        self._layers = None
-        self._shutdown_process()
-        self._local = MaterializedExchange(
-            self.name,
-            self.compiled,
-            self.source,
-            max_chase_steps=self._max_chase_steps,
-            cache_capacity=self._cache_capacity,
-        )
-        # From here on the local exchange owns the live source.
-        self.source = self._local.source
-        if self._on_failure is not None:
-            self._on_failure(self.index, reason)
-
     # -- the MaterializedExchange surface ----------------------------------
 
     def apply_delta(
@@ -484,18 +434,18 @@ class ProcessShard:
         added: Iterable[tuple[str, Iterable[Any]]] = (),
         removed: Iterable[tuple[str, Iterable[Any]]] = (),
     ) -> AppliedDelta:
-        if self._local is not None:
-            return self._local.apply_delta(added=added, removed=removed)
-        added = [(name, tuple(tup)) for name, tup in added]
-        removed = [(name, tuple(tup)) for name, tup in removed]
-        add_seg, add_buf = _encode_facts(added, self._interner)
-        rem_seg, rem_buf = _encode_facts(removed, self._interner)
+        add_seg, add_buf = _encode_facts(
+            [(name, tuple(tup)) for name, tup in added], self._interner
+        )
+        rem_seg, rem_buf = _encode_facts(
+            [(name, tuple(tup)) for name, tup in removed], self._interner
+        )
         if METRICS.enabled:
             _IPC_BUFFER_BYTES.observe(
                 add_buf.itemsize * len(add_buf) + rem_buf.itemsize * len(rem_buf)
             )
-        try:
-            payload = self._request(
+        (applied_add_seg, applied_add_buf), (applied_rem_seg, applied_rem_buf) = (
+            self._request(
                 (
                     "apply",
                     self._table_delta(),
@@ -506,11 +456,7 @@ class ProcessShard:
                     TRACER.enabled,
                 )
             )
-        except WorkerGone as gone:
-            # The mirror is still pre-batch; rebuild and replay in-process.
-            self._degrade(str(gone))
-            return self._local.apply_delta(added=added, removed=removed)
-        (applied_add_seg, applied_add_buf), (applied_rem_seg, applied_rem_buf) = payload
+        )
         applied_added = _decode_facts(applied_add_seg, applied_add_buf, self._interner)
         applied_removed = _decode_facts(applied_rem_seg, applied_rem_buf, self._interner)
         for fact in applied_removed:
@@ -520,28 +466,10 @@ class ProcessShard:
         self._layers = None
         return AppliedDelta(added=tuple(applied_added), removed=tuple(applied_removed))
 
-    def answer(
-        self,
-        query,
-        extra_constants: int | None = None,
-        max_extra_tuples: int | None = None,
-    ) -> AnswerOutcome:
-        if self._local is not None:
-            return self._local.answer(
-                query,
-                extra_constants=extra_constants,
-                max_extra_tuples=max_extra_tuples,
-            )
-        try:
-            payload = self._request(("answer", query, TRACER.enabled))
-        except WorkerGone as gone:
-            self._degrade(str(gone))
-            return self._local.answer(
-                query,
-                extra_constants=extra_constants,
-                max_extra_tuples=max_extra_tuples,
-            )
-        count, arity, buffer, route, cached = payload
+    def answer(self, query) -> AnswerOutcome:
+        count, arity, buffer, route, cached = self._request(
+            ("answer", query, TRACER.enabled)
+        )
         if METRICS.enabled:
             _IPC_BUFFER_BYTES.observe(buffer.itemsize * len(buffer))
         decode = self._interner.decode
@@ -552,82 +480,39 @@ class ProcessShard:
             offset += arity
         return AnswerOutcome(frozenset(answers), "monotone", route, cached)
 
-    def certain_answers(self, query, **kwargs) -> set[tuple]:
-        return set(self.answer(query, **kwargs).answers)
-
     @property
     def update_stats(self) -> UpdateStats:
-        base = self._stats_base
-        if self._local is not None:
-            local = self._local.update_stats
-            return UpdateStats(
-                batches=base[0] + local.batches,
-                trigger_rounds=base[1] + local.trigger_rounds,
-                target_repairs=base[2] + local.target_repairs,
-                invalidation_rounds=base[3] + local.invalidation_rounds,
-                replays=base[4] + local.replays,
-                rollbacks=base[5] + local.rollbacks,
-            )
         if self._summary is None:
             return UpdateStats()
         return UpdateStats(*self._summary[5])
 
     @property
-    def degraded(self) -> bool:
-        """Has this shard fallen back to in-process evaluation?"""
-        return self._local is not None
-
-    @property
-    def generation(self) -> int:
-        """Degrade count — the version-vector salt multiplier, and the
-        ``gen=N`` the explain layer's shard states report."""
-        return self._generation
-
-    @property
     def target_size(self) -> int:
-        if self._local is not None:
-            return self._local.target_size
         return self._summary[1] if self._summary is not None else 0
 
     def target_relation_size(self, name: str) -> int:
-        if self._local is not None:
-            return self._local.target_relation_size(name)
         if self._summary is None:
             return 0
         return dict(self._summary[3]).get(name, 0)
 
     @property
     def core_size(self) -> Optional[int]:
-        if self._local is not None:
-            return self._local.core_size
         return self._summary[2] if self._summary is not None else None
 
     def _target_versions(self, relations: Iterable[str] | None = None) -> tuple:
-        if self._local is not None:
-            entries = self._local._target_versions(relations)
-        elif self._summary is None:
-            entries = ()
-        else:
-            known = dict(self._summary[0])
-            if relations is None:
-                entries = tuple(sorted(known.items()))
-            else:
-                entries = tuple(
-                    (name, known.get(name, 0)) for name in sorted(set(relations))
-                )
-        salt = self._generation * GENERATION_SALT
-        return tuple((name, version + salt) for name, version in entries)
+        if self._summary is None:
+            return ()
+        known = dict(self._summary[0])
+        if relations is None:
+            return tuple(sorted(known.items()))
+        return tuple((name, known.get(name, 0)) for name in sorted(set(relations)))
 
     def _fetch_layers(self) -> tuple[Instance, Instance]:
         """The decoded (canonical, target) layers, cached per version vector."""
         versions = self._target_versions()
         if self._layers is not None and self._layers[0] == versions:
             return self._layers[1], self._layers[2]
-        try:
-            payload = self._request(("facts",))
-        except WorkerGone as gone:
-            self._degrade(str(gone))
-            return self._local.canonical, self._local.target
+        payload = self._request(("facts",))
         canonical = Instance(schema=self.compiled.mapping.target)
         for fact in _decode_facts(*payload[0], self._interner):
             canonical.add(*fact)
@@ -639,31 +524,39 @@ class ProcessShard:
 
     @property
     def canonical(self) -> Instance:
-        if self._local is not None:
-            return self._local.canonical
         return self._fetch_layers()[0]
 
     @property
     def target(self) -> Instance:
-        if self._local is not None:
-            return self._local.target
         return self._fetch_layers()[1]
 
     def kill_worker(self) -> None:
-        """Hard-kill the worker process (degradation drills and demos).
+        """Hard-kill the worker process (failure drills and demos).
 
-        The next request observes the death and degrades; nothing is lost
-        because the parent's source mirror only ever reflects acknowledged
-        commits.
+        The next request raises :class:`WorkerGone`; nothing is lost because
+        the source mirror only ever reflects acknowledged commits.
         """
         if self._proc is not None and self._proc.is_alive():
             self._proc.kill()
             self._proc.join(timeout=2.0)
 
     def close(self) -> None:
-        self._shutdown_process()
-        self._local = None
+        """Stop the worker process (idempotent).  Later requests raise
+        :class:`WorkerGone`."""
+        proc, conn = self._proc, self._conn
+        self._proc = None
+        self._conn = None
+        if conn is not None:
+            try:
+                conn.send(("stop",))
+            except (OSError, ValueError):
+                pass
+            conn.close()
+        if proc is not None:
+            proc.join(timeout=2.0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=1.0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "degraded" if self._local is not None else "process"
-        return f"ProcessShard({self.name!r}, index={self.index}, mode={mode})"
+        return f"ProcessShard({self.name!r}, index={self.index})"

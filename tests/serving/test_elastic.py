@@ -420,7 +420,8 @@ def test_process_mode_injected_prepare_failure_leaves_pre_move_state():
             service.rebalance("el", max_attempts=1)
         assert exchange.routing_snapshot().epoch == 0
         assert _shard_facts(exchange) == before_sources
-        assert not any(s.degraded for s in exchange.workers)  # live workers fine
+        # live workers fine
+        assert all(state.startswith("process(") for state in exchange.shard_states())
         _assert_differential(service, reference, workload.queries)
     finally:
         exchange._make_shard = original

@@ -229,11 +229,11 @@ def test_sharded_explain_does_not_force_the_merged_view():
             for q in workload.queries
             if service.explain(QueryRequest("sk", q)).route == "merged"
         )
-        assert exchange._merged_target is None  # explain never built it
+        assert exchange._merged_view is None  # explain never built it
         explain = service.explain(QueryRequest("sk", merged_query))
         assert explain.join_order == ()  # stale/absent view: order omitted
         service.query(QueryRequest("sk", merged_query))
-        assert exchange._merged_target is not None  # answer() built it
+        assert exchange._merged_view is not None  # answer() built it
         # With the merged view current, explain now reports the join order.
         exchange._cache.invalidate_all()
         explain = service.explain(QueryRequest("sk", merged_query))

@@ -302,23 +302,35 @@ def test_failed_batch_unwinds_committed_shards_with_inverse_deltas():
         exchange.close()
 
 
-def test_rebuild_shard_restores_the_pre_batch_state():
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_rebuild_shard_restores_the_pre_batch_state(mode):
     """The rollback backstop: when an inverse delta cannot be applied, the
     shard is re-materialized from its pre-batch source and must answer
-    exactly like a shard that never saw the batch."""
-    exchange = fresh_sharded()
+    exactly like a shard that never saw the batch.  The slot swap closes
+    the replaced backend: in process mode its worker is reaped."""
+    exchange = fresh_sharded(worker_mode=mode)
     try:
         query = cq(["c", "a"], [("Acct", ["c", "a"])], name="acct")
         before = exchange.certain_answers(query)
         fact = ("Account", ("c1", "backstop"))
         index = exchange.plan.shard_of(*fact, exchange.routing_snapshot())
-        applied = exchange.shards[index].apply_delta(added=[fact])
+        old = exchange.shards[index]
+        proc = getattr(old, "_proc", None)
+        applied = old.apply_delta(added=[fact])
         exchange._rebuild_shard(index, applied)
+        assert exchange.shards[index] is not old
         assert (fact not in exchange.shards[index].source)
-        exchange._cache.invalidate_all()
         assert exchange.certain_answers(query) == before
+        assert exchange.shard_states()[index] == (
+            "thread" if mode == "thread" else "process(gen=0)"
+        )
+        if mode == "process":
+            assert old._proc is None and not proc.is_alive()
+            procs = [shard._proc for shard in exchange.shards]
     finally:
         exchange.close()
+    if mode == "process":  # no child process outlives the exchange
+        assert not any(child.is_alive() for child in procs)
 
 
 # ---------------------------------------------------------------------------

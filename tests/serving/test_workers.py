@@ -5,19 +5,24 @@ into a dedicated worker process; deltas and scatter answers cross the pipe as
 flat int buffers plus interner string-table deltas.  Everything observable —
 answers, update counters, rollback semantics, the composed version vector's
 cache behaviour — must be identical to the in-thread shards, and a dead or
-wedged worker must degrade gracefully to in-process evaluation instead of
-failing the scenario.
+wedged worker must not fail the scenario: the sharded front swaps its slot
+for an in-process exchange, once per death.
 
 Worker processes use the ``spawn`` start method (the only one that is safe
 under threads and the only one available everywhere Python 3.13 runs), so
 these tests double as the spawn-compatibility gate for the CI matrix.
 """
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.chase.dependencies import parse_dependencies
 from repro.core.mapping import mapping_from_rules
 from repro.logic.cq import cq
+from repro.obs.flight import FLIGHT_RECORDER
 from repro.relational.builders import make_instance
 from repro.serving.materialized import ServingError
 from repro.serving.registry import compile_mapping
@@ -153,8 +158,8 @@ def test_egd_conflict_rolls_back_without_degrading_workers():
             assert exchange.update_stats.rollbacks == 1
             assert exchange.sharding_stats().worker_failures == 0
             if mode == "process":
-                assert not any(
-                    getattr(shard, "degraded", False) for shard in exchange.shards
+                assert all(
+                    state == "process(gen=0)" for state in exchange.shard_states()
                 )
             answers[mode] = before
         finally:
@@ -179,20 +184,24 @@ def test_killed_worker_degrades_gracefully_and_keeps_serving():
         baseline = [frozenset(exchange.answer(q).answers) for q in workload.queries]
 
         victim = exchange.shards[0]
-        assert isinstance(victim, ProcessShard) and not victim.degraded
+        assert isinstance(victim, ProcessShard)
+        assert exchange.shard_states()[0] == "process(gen=0)"
         victim.kill_worker()
         # Cached summaries and answers still serve without touching the pipe.
         assert [
             frozenset(exchange.answer(q).answers) for q in workload.queries
         ] == baseline
 
-        # The next delta hits the dead pipe: the shard replays the batch on a
-        # fresh in-process exchange and the failure lands in the stats.
+        # The next delta hits the dead pipe: the front swaps the slot for a
+        # fresh in-process exchange, replays the batch on it, and the failure
+        # lands in the stats.
         added, removed = workload.batches[1]
         exchange.apply_delta(added=added, removed=removed)
-        assert victim.degraded
+        assert exchange.shard_states()[0] == "degraded(gen=1)"
+        assert not isinstance(exchange.shards[0], ProcessShard)
         stats = exchange.sharding_stats()
-        assert stats.worker_failures >= 1
+        assert stats.worker_failures == 1
+        assert stats.worker_generation_total == 1
         assert stats.worker_mode == "process"
         for query in workload.queries:  # still answering after degradation
             exchange.answer(query)
@@ -226,6 +235,113 @@ def test_mid_stream_kill_stays_differentially_equal_to_threads():
         finally:
             exchange.close()
     assert results["thread"] == results["process"]
+
+
+def skewed_exchange(name, mode):
+    workload = skewed_workload(
+        customers=24, accounts=100, batches=3, batch_size=8, seed=5
+    )
+    exchange = ShardedExchange(
+        name,
+        compile_mapping(workload.mapping, workload.target_dependencies),
+        workload.source,
+        PartitionSpec(2),
+        worker_mode=mode,
+    )
+    return workload, exchange
+
+
+class _GateLock:
+    """Stands in for a proxy's I/O lock: counts arrivals, admits on release."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.arrived = threading.Semaphore(0)
+
+    def __enter__(self):
+        self.arrived.release()
+        self.lock.acquire()
+
+    def __exit__(self, *exc_info):
+        self.lock.release()
+
+
+def test_two_requests_on_one_dead_worker_make_one_swap():
+    """Two uncached scatter queries queue on one dead worker's I/O lock: the
+    first swaps the slot, the second finds it swapped and retries on the
+    replacement — one failure, generation 1, both answered, no child left."""
+    workload, reference = skewed_exchange("race-ref", "thread")
+    _, exchange = skewed_exchange("race", "process")
+    by_name = {query.name: query for query in workload.queries}
+    queries = [by_name["accounts_with_region"], by_name["audited_regions"]]
+    try:
+        expected = [reference.certain_answers(query) for query in queries]
+        victim = exchange.shards[0]
+        for query in queries:  # both consult the victim's slot
+            assert 0 in exchange.explain(query).fanout.consulted
+        proc = victim._proc
+        gate = victim._io_lock = _GateLock()
+        victim.kill_worker()
+        gate.lock.acquire()
+        with ThreadPoolExecutor(max_workers=2) as clients:
+            try:
+                futures = [clients.submit(exchange.answer, q) for q in queries]
+                arrived = all(gate.arrived.acquire(timeout=30) for _ in queries)
+            finally:
+                gate.lock.release()
+            assert arrived  # both requests were queued on the dead worker
+            answers = [set(future.result(timeout=60).answers) for future in futures]
+        assert answers == expected
+        stats = exchange.sharding_stats()
+        assert stats.worker_failures == 1
+        assert stats.worker_generation_total == 1
+        assert exchange.shard_states() == (
+            "degraded(gen=1)",
+            "process(gen=0)",
+            "process(gen=0)",
+        )
+        assert victim._proc is None and not proc.is_alive()
+    finally:
+        reference.close()
+        exchange.close()
+
+
+def test_worker_death_records_one_flight_event_under_the_scenario():
+    workload, exchange = skewed_exchange("flight-one", "process")
+    since = FLIGHT_RECORDER.last_seq
+    try:
+        exchange.shards[0].kill_worker()
+        added, removed = workload.batches[0]
+        exchange.apply_delta(added=added, removed=removed)
+        # One event, and under the scenario's own name (not a shard's).
+        [event] = FLIGHT_RECORDER.events(since_seq=since)
+        assert (event.kind, event.scenario) == ("worker_failure", "flight-one")
+        assert event.detail["shard"] == 0
+    finally:
+        exchange.close()
+
+
+def test_update_stats_never_decrease_across_a_swap():
+    """The front counts replays per call on the backend that served it, so a
+    slot swapped mid-stream moves no counter of ``update_stats`` backwards,
+    and the totals still match thread mode batch for batch."""
+    workload, reference = skewed_exchange("stats-ref", "thread")
+    _, exchange = skewed_exchange("stats", "process")
+    try:
+        for i, (added, removed) in enumerate(workload.batches):
+            if i == 1:
+                exchange.shards[0].kill_worker()
+            before = replace(exchange.update_stats)
+            exchange.apply_delta(added=added, removed=removed)
+            reference.apply_delta(added=added, removed=removed)
+            after = exchange.update_stats
+            for field in fields(after):
+                assert getattr(after, field.name) >= getattr(before, field.name)
+            assert after == reference.update_stats
+        assert exchange.sharding_stats().worker_failures == 1
+    finally:
+        reference.close()
+        exchange.close()
 
 
 def test_deregister_terminates_worker_processes():
