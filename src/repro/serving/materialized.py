@@ -69,7 +69,7 @@ provides.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 
 from repro.chase.engine import ChaseFailure
@@ -108,6 +108,10 @@ from repro.serving.registry import CompiledMapping, CompiledSTD
 
 Fact = tuple[str, tuple]
 TriggerKey = tuple[int, tuple]
+#: Target facts a batch touched as two sides — ``(added, removed)`` as
+#: recorded, or ``(present, absent)`` once split by membership — or ``None``
+#: when an egd rewrite or a replay leaves them unknown.
+TouchedFacts = Optional[tuple[tuple[Fact, ...], tuple[Fact, ...]]]
 
 # Bound once: per-batch observations resolve no registry names inline.
 _CHASE_STEPS = METRICS.histogram(
@@ -161,6 +165,12 @@ class AppliedDelta:
 
     added: tuple[Fact, ...] = ()
     removed: tuple[Fact, ...] = ()
+    # The target facts the batch's maintenance touched (see TouchedFacts):
+    # recorded, not checked, so a fact may sit on either side with its
+    # membership unchanged; a process shard's proxy returns them already
+    # split.  Not part of the delta's identity: an inverse or netted delta
+    # says nothing about it.
+    touched: TouchedFacts = field(default=((), ()), compare=False)
 
     def __bool__(self) -> bool:
         return bool(self.added or self.removed)
@@ -797,7 +807,7 @@ class MaterializedExchange(ExchangeFront):
 
         try:
             with TRACER.span("exchange.refresh_target", scenario=self.name):
-                self._refresh_target(canonical_added, canonical_removed)
+                touched = self._refresh_target(canonical_added, canonical_removed)
         except ServingError as failure:
             self.update_stats.rollbacks += 1
             FLIGHT_RECORDER.record(
@@ -810,7 +820,34 @@ class MaterializedExchange(ExchangeFront):
             with TRACER.span("exchange.rollback", scenario=self.name):
                 self._undo_source_update(to_remove=to_add, to_restore=to_remove)
             raise
-        return AppliedDelta(added=tuple(to_add), removed=tuple(to_remove))
+        if touched is None:
+            self._core_delta = None
+        elif self._core_delta is not None:
+            self._core_delta[0].extend(touched[0])
+            self._core_delta[1].extend(touched[1])
+        return AppliedDelta(
+            added=tuple(to_add),
+            removed=tuple(to_remove),
+            touched=None if touched is None else (tuple(touched[0]), tuple(touched[1])),
+        )
+
+    def split_touched(self, applied: AppliedDelta) -> TouchedFacts:
+        """``applied.touched`` split by membership in the target now:
+        ``(present, absent)``, each fact once, or ``None`` when unknown.
+
+        Part of the shard surface: called right after ``apply_delta`` by the
+        sharded front (or inside a worker process, whose proxy returns the
+        split it shipped), it turns the unchecked record into the exact
+        change the merged target view folds in.
+        """
+        if applied.touched is None:
+            return None
+        target = self._target
+        present: dict[Fact, None] = {}
+        absent: dict[Fact, None] = {}
+        for fact in (*applied.touched[0], *applied.touched[1]):
+            (present if fact in target else absent)[fact] = None
+        return tuple(present), tuple(absent)
 
     def _undo_source_update(self, to_remove: list[Fact], to_restore: list[Fact]) -> None:
         """Roll the exchange back to its pre-update state after a failed chase.
@@ -862,7 +899,9 @@ class MaterializedExchange(ExchangeFront):
         self._provenance = provenance
         return result.instance
 
-    def _refresh_target(self, added: list[Fact], removed: list[Fact]) -> None:
+    def _refresh_target(
+        self, added: list[Fact], removed: list[Fact]
+    ) -> Optional[tuple[list[Fact], list[Fact]]]:
         """Repair the chased target for one canonical-layer delta — one pass.
 
         Called exactly once per applied batch; counts as the batch's single
@@ -875,17 +914,18 @@ class MaterializedExchange(ExchangeFront):
         rollback path is the failure net).  In every in-place outcome the raw
         version counters advance for exactly the touched relations, keeping
         cache entries over untouched relations warm.
+
+        Returns the target facts the repair touched as ``(added, removed)``
+        — the one record the core repair and
+        :attr:`AppliedDelta.touched` read — or ``None`` after an egd
+        rewrite or a replay, whose substitutions touch facts nobody
+        recorded.
         """
         self.update_stats.target_repairs += 1
         self.update_stats.invalidation_rounds += 1
         if not self.compiled.target_dependencies:
-            # The target *is* the canonical layer, already repaired in place;
-            # only the core-maintenance bookkeeping remains (removals repair
-            # the core block-locally too — no fallback needed).
-            if self._core_delta is not None:
-                self._core_delta[0].extend(added)
-                self._core_delta[1].extend(removed)
-            return
+            # The target *is* the canonical layer, already repaired in place.
+            return added, removed
         if removed:
             # Sampled for the replay branch only; the in-place paths never
             # rebind, so they need no version bookkeeping at all.
@@ -929,8 +969,7 @@ class MaterializedExchange(ExchangeFront):
                     self._rebind_target(
                         self._full_chase(self._canonical), old_versions, None
                     )
-                self._core_delta = None
-                return
+                return None
             if not retraction.terminated:
                 raise ServingError(
                     f"target chase of scenario {self.name!r} did not terminate"
@@ -940,14 +979,10 @@ class MaterializedExchange(ExchangeFront):
             # The target was repaired in place: raw version counters advanced
             # for exactly the touched relations, so no rebind is needed.
             if any(step.kind == "egd" for step in retraction.steps):
-                self._core_delta = None
-            elif self._core_delta is not None:
-                self._core_delta[0].extend(added)
-                self._core_delta[0].extend(retraction.added)
-                self._core_delta[1].extend(retraction.removed)
-            return
+                return None
+            return added + retraction.added, retraction.removed
         if not added:
-            return
+            return [], []
         # Pure addition: extend the chase in place, seeded from the delta —
         # no per-batch target copy and no `_version_base` rebind (the ROADMAP
         # open item); a failure leaves the target partially chased, which the
@@ -977,13 +1012,8 @@ class MaterializedExchange(ExchangeFront):
             # record; the in-place substitution bumped exactly the rewritten
             # relations' counters, so only their cache entries go stale — but
             # the core must be rebuilt.
-            self._core_delta = None
-            return
-        if self._core_delta is not None:
-            self._core_delta[0].extend(added)
-            self._core_delta[0].extend(
-                fact for step in result.steps for fact in step.added
-            )
+            return None
+        return added + [fact for step in result.steps for fact in step.added], []
 
     # -- query serving -----------------------------------------------------
 

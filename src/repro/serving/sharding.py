@@ -76,8 +76,12 @@ reports.
   the null-aware dedup: certain answers are null-free and per-shard nulls
   are disjoint, so no cross-shard identification could create or merge
   answers.  Queries that may join across the partition fall back to a
-  lazily maintained **merged target view** (facts deduped set-wise; shared
-  constant facts collapse, nulls never wrongly merge).
+  maintained **merged target view**: one coded
+  :class:`~repro.relational.interning.ColumnarInstance` built on first use
+  and then advanced per committed batch from the target facts each shard
+  reports touching (facts deduped set-wise through a per-fact record of
+  the shards holding it; shared constant facts collapse, nulls never
+  wrongly merge).
 * **DEQA / non-monotone queries** evaluate over the maintained **merged
   source view** — identical to the unsharded path.
 * **Caching**: one top-level certain-answer cache guarded by the *composed*
@@ -108,7 +112,7 @@ from repro.obs.flight import FLIGHT_RECORDER
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.relational.instance import Instance
-from repro.relational.interning import ValueInterner
+from repro.relational.interning import ColumnarInstance, ValueInterner
 from repro.serving.cache import VersionVector, query_fingerprint
 from repro.serving.elastic import (
     EpochRouter,
@@ -124,6 +128,7 @@ from repro.serving.materialized import (
     Fact,
     MaterializedExchange,
     ServingError,
+    TouchedFacts,
     normalise_delta,
 )
 from repro.serving.registry import CompiledMapping
@@ -676,18 +681,42 @@ def analyse_shardability(
     )
 
 
-def _apply_counting_replays(
+def _apply_reporting(
     added: list[Fact], removed: list[Fact]
-) -> Callable[[Any], tuple[AppliedDelta, int]]:
-    """A per-shard apply call that also reports the egd replays it cost,
-    read off the backend that served it."""
+) -> Callable[[Any], tuple[AppliedDelta, int, TouchedFacts]]:
+    """A per-shard apply call that also returns the egd replays it cost and
+    the target facts it touched, both read off the backend that served it."""
 
-    def call(shard: Any) -> tuple[AppliedDelta, int]:
+    def call(shard: Any) -> tuple[AppliedDelta, int, TouchedFacts]:
         before = shard.update_stats.replays
         applied = shard.apply_delta(added=added, removed=removed)
-        return applied, shard.update_stats.replays - before
+        return applied, shard.update_stats.replays - before, shard.split_touched(applied)
 
     return call
+
+
+def _fold_reports(
+    merged: ColumnarInstance,
+    holders: dict[Fact, int],
+    reports: Mapping[int, tuple[Iterable[Fact], Iterable[Fact]]],
+) -> None:
+    """Apply per-slot ``(present, absent)`` facts to a merged view whose
+    ``holders`` map each fact to the bitmask of slots holding it: a fact
+    enters the view with its first holder and leaves with its last."""
+    for index, (present, absent) in reports.items():
+        bit = 1 << index
+        for fact in present:
+            held = holders.get(fact, 0)
+            if not held:
+                merged.add(*fact)
+            holders[fact] = held | bit
+        for fact in absent:
+            held = holders.get(fact, 0) & ~bit
+            if held:
+                holders[fact] = held
+            elif fact in holders:
+                del holders[fact]
+                merged.discard(*fact)
 
 
 @dataclass(frozen=True)
@@ -792,13 +821,16 @@ class ShardedExchange(ExchangeFront):
         self._router = EpochRouter(RoutingTable.initial(partition.shards))
         # Per worker shard: bounded top-K ingest histogram of partition keys.
         self._key_hist = tuple(TopKCounter() for _ in range(partition.shards))
-        # The lazily maintained merged target view (the fallback for
-        # monotone queries that may join across the partition), guarded by
-        # the composed version vector like any cache entry.  One
-        # ``(versions, view)`` attribute, so dropping it needs no lock; the
-        # mutex only serialises rebuilds.
+        # The merged target view (the fallback for monotone queries that may
+        # join across the partition): ``(versions, view, holders)``, where
+        # ``holders`` maps each fact to a bitmask of the slots holding it.
+        # Built lazily, advanced per batch by _advance_merged, and stamped
+        # with the composed version vector it reflects.  One attribute, so
+        # dropping it needs no lock; the mutex only serialises builds.
         self._merged_mutex = threading.Lock()
-        self._merged_view: Optional[tuple[VersionVector, Instance]] = None
+        self._merged_view: Optional[
+            tuple[VersionVector, ColumnarInstance, dict[Fact, int]]
+        ] = None
         # The parent side of the wire interner (process mode only): one table
         # shared by every shard channel, synchronised incrementally.
         self._worker_interner = ValueInterner() if worker_mode == "process" else None
@@ -1148,21 +1180,28 @@ class ShardedExchange(ExchangeFront):
             per_shard.setdefault(index, ([], []))[1].append(fact)
 
         self.update_stats.batches += 1
+        # Sampled before the fan-out.  A view stamped with anything but the
+        # pre-batch versions (a build that raced a worker death) cannot be
+        # advanced by this batch's reports; _merged() rebuilds it.
+        view = self._merged_view
+        if view is not None and view[0] != self._target_versions():
+            view = None
         jobs = [
             (
                 index,
-                _apply_counting_replays(adds, removes),
+                _apply_reporting(adds, removes),
                 {"added": len(adds), "removed": len(removes)},
             )
             for index, (adds, removes) in sorted(per_shard.items())
         ]
         futures = self._fan_out("shard.apply_delta", jobs)
         applied: dict[int, AppliedDelta] = {}
+        reports: dict[int, TouchedFacts] = {}
         replays = 0
         failure: Optional[BaseException] = None
         for (index, _, _), future in zip(jobs, futures):
             try:
-                applied[index], shard_replays = future.result()
+                applied[index], shard_replays, reports[index] = future.result()
                 replays += shard_replays
             except Exception as exc:  # noqa: BLE001 - collected, re-raised below
                 if failure is None:
@@ -1199,6 +1238,7 @@ class ShardedExchange(ExchangeFront):
                 error=str(failure),
             )
             self._cache.invalidate_all()
+            self._advance_merged(view, None)
             raise failure
 
         for fact in to_remove:
@@ -1214,7 +1254,29 @@ class ShardedExchange(ExchangeFront):
         self._epoch += 1
         with self._counter_mutex:
             self._fanout_applies += len(futures)
+        self._advance_merged(view, reports)
         return AppliedDelta(added=tuple(to_add), removed=tuple(to_remove))
+
+    def _advance_merged(
+        self, view: Optional[tuple], reports: Optional[Mapping[int, TouchedFacts]]
+    ) -> None:
+        """Fold one committed batch's shard reports into the merged view.
+
+        ``view`` is the view as sampled before the fan-out, current for the
+        pre-batch versions.  It advances only if it still is the current
+        view (a worker death mid-batch swaps a slot and drops it); it is
+        dropped instead after a rollback (``reports`` is
+        ``None``) or when some shard could not say what it touched.  Runs
+        under the service's write lock, so no reader sees it half-way.
+        """
+        if view is None or self._merged_view is not view:
+            return
+        if reports is None or any(report is None for report in reports.values()):
+            self._merged_view = None
+            return
+        _, merged, holders = view
+        _fold_reports(merged, holders, reports)
+        self._merged_view = (self._target_versions(), merged, holders)
 
     def _rebuild_shard(self, index: int, applied: AppliedDelta) -> None:
         """Re-materialize one shard at its pre-batch source (rollback backstop).
@@ -1471,24 +1533,30 @@ class ShardedExchange(ExchangeFront):
                 entries.append((f"s{index}:{name}", version + salt))
         return tuple(entries)
 
-    def _merged(self) -> Instance:
-        """The merged target view, rebuilt only when some shard moved.
+    def _merged(self) -> ColumnarInstance:
+        """The merged target view, built in full only when it is missing or
+        its stamp is not the current composed version vector.
 
-        Facts dedup set-wise — shards may derive the same all-constant fact
-        independently — and nulls never merge across shards (identities are
-        globally unique), which is exactly the null-aware union the module
-        docstring promises.
+        Committed batches advance the view in place (:meth:`_advance_merged`);
+        a full build happens on first use, after a drop (rollback, unknown
+        report, slot swap) and after a build that raced a worker death —
+        a death during a read swaps a slot without the write lock, which is
+        why the stamp stays the guard.  Facts dedup set-wise — shards may
+        derive the same all-constant fact independently, so each fact
+        records the slots holding it — and nulls never merge across shards
+        (identities are globally unique), which is exactly the null-aware
+        union the module docstring promises.
         """
         with self._merged_mutex:
             versions = self._target_versions()
             view = self._merged_view
             if view is None or view[0] != versions:
-                merged = Instance(schema=self.compiled.mapping.target)
+                merged = ColumnarInstance(schema=self.compiled.mapping.target)
+                holders: dict[Fact, int] = {}
                 for index in range(len(self.shards)):
                     target = self._on_shard(index, lambda shard: shard.target)
-                    for fact in target.facts():
-                        merged.add(*fact)
-                view = self._merged_view = (versions, merged)
+                    _fold_reports(merged, holders, {index: (target.facts(), ())})
+                view = self._merged_view = (versions, merged, holders)
             return view[1]
 
     def _monotone_route(self, query: AnyQuery) -> str:

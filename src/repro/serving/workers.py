@@ -72,6 +72,7 @@ from repro.serving.materialized import (
     Fact,
     MaterializedExchange,
     ServingError,
+    TouchedFacts,
     UpdateStats,
 )
 from repro.serving.registry import CompiledMapping, compile_mapping
@@ -83,7 +84,8 @@ __all__ = ["ProcessShard", "WorkerGone"]
 NULL_IDENT_STRIDE = 1 << 34
 
 # Pre-bound instrument handle: bytes of coded fact/answer buffers crossing
-# the worker pipe, observed once per round trip on the parent side.
+# the worker pipe, request plus reply, observed once per round trip on the
+# parent side.
 _IPC_BUFFER_BYTES = METRICS.histogram(
     "workers.ipc_buffer_bytes",
     "Coded int-buffer bytes shipped per worker round trip",
@@ -134,6 +136,15 @@ def _decode_facts(
             )
             offset += arity
     return facts
+
+
+def _buffer_bytes(payload: Any) -> int:
+    """Bytes of every ``array`` buffer inside a (nested) message tuple."""
+    if isinstance(payload, array):
+        return payload.itemsize * len(payload)
+    if isinstance(payload, tuple):
+        return sum(_buffer_bytes(item) for item in payload)
+    return 0
 
 
 def _register_table(interner: ValueInterner, table: Optional[tuple[int, list]]) -> None:
@@ -262,10 +273,16 @@ def _worker_main(conn, index: int) -> None:
                             removed=_decode_facts(rem_seg, rem_buf, interner),
                         ),
                     )
+                    # The touched target facts ride along split by membership
+                    # (None when unknown), for the front's merged view.
+                    split = exchange.split_touched(applied)
                     reply_ok(
                         (
                             _encode_facts(applied.added, interner),
                             _encode_facts(applied.removed, interner),
+                            None
+                            if split is None
+                            else tuple(_encode_facts(facts, interner) for facts in split),
                         ),
                         spans,
                     )
@@ -285,12 +302,9 @@ def _worker_main(conn, index: int) -> None:
                         spans,
                     )
                 elif kind == "facts":
-                    reply_ok(
-                        (
-                            _encode_facts(exchange.canonical.facts(), interner),
-                            _encode_facts(exchange.target.facts(), interner),
-                        )
-                    )
+                    _, layer = message
+                    instance = exchange.canonical if layer == "canonical" else exchange.target
+                    reply_ok(_encode_facts(instance.facts(), interner))
                 else:  # pragma: no cover - protocol mismatch guard
                     conn.send(
                         ("fatal", f"unknown message kind {kind!r}", None, None, None)
@@ -324,9 +338,9 @@ class ProcessShard:
     A plain proxy: every request encodes, does one round trip, decodes, and
     raises :class:`WorkerGone` or :class:`ServingError`.  It duck-types the
     slice of the :class:`MaterializedExchange` surface the sharded exchange
-    uses — ``apply_delta``/``answer``/``update_stats``/``source``/``target``/
-    ``canonical``/``target_size``/``target_relation_size``/``core_size``/
-    ``_target_versions``/``close`` — so
+    uses — ``apply_delta``/``split_touched``/``answer``/``update_stats``/
+    ``source``/``target``/``canonical``/``target_size``/
+    ``target_relation_size``/``core_size``/``_target_versions``/``close`` — so
     :class:`~repro.serving.sharding.ShardedExchange` treats thread- and
     process-backed shards identically.
     """
@@ -354,7 +368,6 @@ class ProcessShard:
         self._timeout = timeout
         self._io_lock = threading.Lock()
         self._summary: Optional[tuple] = None
-        self._layers: Optional[tuple[tuple, Instance, Instance]] = None
 
         ctx = multiprocessing.get_context("spawn")
         self._conn, child = ctx.Pipe()
@@ -417,6 +430,8 @@ class ProcessShard:
             except (EOFError, OSError) as exc:
                 raise WorkerGone(f"shard worker {self.index} died: {exc}") from exc
         kind, payload, extras, summary, spans = reply
+        if METRICS.enabled:
+            _IPC_BUFFER_BYTES.observe(_buffer_bytes(message) + _buffer_bytes(payload))
         if kind == "fatal":
             raise WorkerGone(f"shard worker {self.index} failed: {payload}")
         _register_table(self._interner, extras)
@@ -440,11 +455,7 @@ class ProcessShard:
         rem_seg, rem_buf = _encode_facts(
             [(name, tuple(tup)) for name, tup in removed], self._interner
         )
-        if METRICS.enabled:
-            _IPC_BUFFER_BYTES.observe(
-                add_buf.itemsize * len(add_buf) + rem_buf.itemsize * len(rem_buf)
-            )
-        (applied_add_seg, applied_add_buf), (applied_rem_seg, applied_rem_buf) = (
+        (applied_add_seg, applied_add_buf), (applied_rem_seg, applied_rem_buf), split = (
             self._request(
                 (
                     "apply",
@@ -463,15 +474,26 @@ class ProcessShard:
             self.source.discard(*fact)
         for fact in applied_added:
             self.source.add(*fact)
-        self._layers = None
-        return AppliedDelta(added=tuple(applied_added), removed=tuple(applied_removed))
+        return AppliedDelta(
+            added=tuple(applied_added),
+            removed=tuple(applied_removed),
+            touched=None
+            if split is None
+            else tuple(
+                tuple(_decode_facts(segments, buffer, self._interner))
+                for segments, buffer in split
+            ),
+        )
+
+    def split_touched(self, applied: AppliedDelta) -> TouchedFacts:
+        """The worker already split the touched facts by membership (see
+        :meth:`MaterializedExchange.split_touched`); the reply carried it."""
+        return applied.touched
 
     def answer(self, query) -> AnswerOutcome:
         count, arity, buffer, route, cached = self._request(
             ("answer", query, TRACER.enabled)
         )
-        if METRICS.enabled:
-            _IPC_BUFFER_BYTES.observe(buffer.itemsize * len(buffer))
         decode = self._interner.decode
         answers = set()
         offset = 0
@@ -507,28 +529,21 @@ class ProcessShard:
             return tuple(sorted(known.items()))
         return tuple((name, known.get(name, 0)) for name in sorted(set(relations)))
 
-    def _fetch_layers(self) -> tuple[Instance, Instance]:
-        """The decoded (canonical, target) layers, cached per version vector."""
-        versions = self._target_versions()
-        if self._layers is not None and self._layers[0] == versions:
-            return self._layers[1], self._layers[2]
-        payload = self._request(("facts",))
-        canonical = Instance(schema=self.compiled.mapping.target)
-        for fact in _decode_facts(*payload[0], self._interner):
-            canonical.add(*fact)
-        target = Instance(schema=self.compiled.mapping.target)
-        for fact in _decode_facts(*payload[1], self._interner):
-            target.add(*fact)
-        self._layers = (versions, canonical, target)
-        return canonical, target
+    def _fetch_layers(self, layer: str) -> Instance:
+        """One decoded layer, ``"canonical"`` or ``"target"``, fetched per call
+        (the sharded front keeps its own merged view; nothing caches here)."""
+        instance = Instance(schema=self.compiled.mapping.target)
+        for fact in _decode_facts(*self._request(("facts", layer)), self._interner):
+            instance.add(*fact)
+        return instance
 
     @property
     def canonical(self) -> Instance:
-        return self._fetch_layers()[0]
+        return self._fetch_layers("canonical")
 
     @property
     def target(self) -> Instance:
-        return self._fetch_layers()[1]
+        return self._fetch_layers("target")
 
     def kill_worker(self) -> None:
         """Hard-kill the worker process (failure drills and demos).

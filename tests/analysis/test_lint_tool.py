@@ -165,6 +165,30 @@ def test_routing_table_access_allowed_inside_elastic(lint):
     assert module.lint_file(fine) == []
 
 
+def test_merged_view_write_flagged_outside_its_maintainers(lint):
+    module, root = lint
+    bad = write(
+        root,
+        "src/repro/serving/sharding.py",
+        """
+        class ShardedExchange:
+            def __init__(self):
+                self._merged_view = None
+
+            def _merged(self):
+                view = self._merged_view = ("versions", "view", {})
+                return view
+
+            def apply_delta(self):
+                self._merged_view = None  # a drop outside the maintainers
+        """,
+    )
+    (finding,) = module.lint_file(bad)
+    assert finding.rule == "merged-view"
+    assert finding.line == 11
+    assert "ShardedExchange.apply_delta" in finding.message
+
+
 def test_monitor_clock_flagged_outside_the_sampler(lint):
     module, root = lint
     bad = write(

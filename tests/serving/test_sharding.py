@@ -18,6 +18,7 @@ from repro.logic.terms import Const
 from repro.relational.builders import make_instance
 from repro.serving import (
     ExchangeService,
+    MaterializedExchange,
     PartitionSpec,
     RoutingTable,
     ServingError,
@@ -633,3 +634,157 @@ def test_registry_deregister_closes_the_worker_pool():
     pool = service.scenario("tmp")._pool
     service.deregister("tmp")
     assert pool._shutdown
+
+
+# ---------------------------------------------------------------------------
+# The maintained merged target view
+# ---------------------------------------------------------------------------
+
+
+def assert_merged_view_is_the_union(exchange, maintained):
+    """``_merged()`` equals the union of the shard targets, and each fact
+    records exactly the slots holding it.  ``maintained``: the view was
+    advanced by the last batch, not rebuilt by this call."""
+    view = exchange._merged_view
+    if maintained:
+        assert view is not None and view[0] == exchange._target_versions()
+    else:
+        assert view is None
+    merged = set(exchange._merged().facts())
+    targets = [set(shard.target.facts()) for shard in exchange.shards]
+    assert merged == set().union(*targets)
+    holders = exchange._merged_view[2]
+    assert set(holders) == merged
+    for fact, mask in holders.items():
+        assert mask == sum(1 << i for i, facts in enumerate(targets) if fact in facts)
+
+
+def assert_answers_match(exchange, flat, queries):
+    for query in queries:
+        assert exchange.certain_answers(query) == flat.certain_answers(query), query
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_merged_view_is_maintained_as_the_union_of_shard_targets(mode):
+    """Seeded differential on the skewed workload: after every committed
+    batch the merged view is advanced (not rebuilt) and equals the union of
+    the shard targets, and every answer equals the unsharded exchange's.
+    A rejected batch (fan-out rollback), a reshard commit and, in process
+    mode, a worker killed mid-stream each drop the view, which the next
+    merged read rebuilds."""
+    workload = skewed_workload(
+        customers=16, accounts=80, batches=8, batch_size=6, zipf_s=1.2, seed=5
+    )
+    compiled = compile_mapping(workload.mapping, workload.target_dependencies)
+    flat = MaterializedExchange("flat", compiled, workload.source)
+    exchange = ShardedExchange(
+        "view", compiled, workload.source, PartitionSpec(2), worker_mode=mode
+    )
+    merged_queries = [
+        q for q in workload.queries if exchange._monotone_route(q) == "merged"
+    ]
+    assert merged_queries
+    try:
+        assert_answers_match(exchange, flat, workload.queries)
+        assert_merged_view_is_the_union(exchange, maintained=True)
+        for step, (added, removed) in enumerate(workload.batches):
+            maintained = True
+            if step == 2:
+                # Rejected: the last touched shard fails after the others
+                # committed, so they are unwound and the view is dropped.
+                routing = exchange.routing_snapshot()
+                touched = {exchange.plan.shard_of(*f, routing) for f in added + removed}
+                assert len(touched) >= 2
+                victim = exchange.shards[max(touched)]
+
+                def fail(**_):
+                    raise ServingError("injected shard failure")
+
+                victim.apply_delta = fail
+                try:
+                    with pytest.raises(ServingError, match="injected"):
+                        exchange.apply_delta(added=added, removed=removed)
+                finally:
+                    del victim.apply_delta
+                assert exchange.update_stats.rollbacks == 1
+                assert_merged_view_is_the_union(exchange, maintained=False)
+                assert_answers_match(exchange, flat, workload.queries)
+                continue
+            if step == 4:
+                routing = exchange.routing_snapshot()
+                loads = exchange.bucket_loads()
+                bucket = max(
+                    (b for b in loads if routing.worker_of_bucket(b) == 0),
+                    key=lambda b: (loads[b], b),
+                )
+                exchange.reshard([(bucket, 1)])
+                assert exchange._merged_view is None
+            if step == 6 and mode == "process":
+                index = exchange.plan.shard_of(*added[0], exchange.routing_snapshot())
+                exchange.shards[index].kill_worker()
+                maintained = False
+            if step in (4, 6):
+                exchange._merged()  # rebuild before the batch, to advance it
+            flat.apply_delta(added=added, removed=removed)
+            exchange.apply_delta(added=added, removed=removed)
+            assert_merged_view_is_the_union(exchange, maintained)
+            assert_answers_match(exchange, flat, workload.queries)
+        if mode == "process":
+            assert exchange.sharding_stats().worker_failures == 1
+        assert exchange.sharding_stats().reshards == 1
+    finally:
+        exchange.close()
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_merged_view_is_rebuilt_when_an_egd_rewrite_leaves_the_touched_facts_unknown(
+    mode,
+):
+    """A shard whose batch fired an egd cannot say which target facts it
+    touched, so the view is dropped and rebuilt; an egd conflict rejects
+    the batch across shards and drops it too."""
+    mapping = mapping_from_rules(
+        ["T(x^cl, z^op) :- S(x)", "T(x^cl, y^cl) :- R(x, y)"],
+        source={"S": 1, "R": 2},
+        target={"T": 2},
+    )
+    deps = parse_dependencies(["T(x, y) & T(x, z) -> y = z"])
+    compiled = compile_mapping(mapping, deps)
+    keys = [f"k{i}" for i in range(8)]
+    source = make_instance({"S": [(k,) for k in keys]})
+    flat = MaterializedExchange("flat", compiled, source)
+    exchange = ShardedExchange(
+        "egd", compiled, source, PartitionSpec(2), worker_mode=mode
+    )
+    queries = (
+        cq(["x", "y"], [("T", ["x", "y"])], name="t"),
+        cq(["x1", "x2"], [("T", ["x1", "y"]), ("T", ["x2", "y"])], name="same_value"),
+    )
+    assert exchange._monotone_route(queries[1]) == "merged"
+    assert not exchange.plan.residual_sources
+    routing = exchange.routing_snapshot()
+    by_worker = {}
+    for key in keys:
+        by_worker.setdefault(routing.worker_of_value(key), []).append(key)
+    a, b = by_worker[0][0], by_worker[1][0]
+    try:
+        assert_merged_view_is_the_union(exchange, maintained=False)
+        # A fresh null, no egd fires: the view advances.
+        for target in (flat, exchange):
+            target.apply_delta(added=[("S", ("fresh",))])
+        assert_merged_view_is_the_union(exchange, maintained=True)
+        # The egd rewrites a's null to 1: unknown touched facts, dropped.
+        for target in (flat, exchange):
+            target.apply_delta(added=[("R", (a, "1"))])
+        assert_merged_view_is_the_union(exchange, maintained=False)
+        assert_answers_match(exchange, flat, queries)
+        # a's value conflicts (1 vs 2) while b's shard commits: rejected
+        # across shards, unwound, and the view is dropped.
+        batch = [("R", (a, "2")), ("R", (b, "3"))]
+        for target in (flat, exchange):
+            with pytest.raises(ServingError):
+                target.apply_delta(added=batch)
+        assert_merged_view_is_the_union(exchange, maintained=False)
+        assert_answers_match(exchange, flat, queries)
+    finally:
+        exchange.close()

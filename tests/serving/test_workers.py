@@ -23,6 +23,7 @@ from repro.chase.dependencies import parse_dependencies
 from repro.core.mapping import mapping_from_rules
 from repro.logic.cq import cq
 from repro.obs.flight import FLIGHT_RECORDER
+from repro.obs.metrics import METRICS
 from repro.relational.builders import make_instance
 from repro.serving.materialized import ServingError
 from repro.serving.registry import compile_mapping
@@ -449,3 +450,55 @@ def test_register_rejects_unknown_worker_mode_strings():
             PartitionSpec(2),
             worker_mode="fork",
         )
+
+
+class _RecordingConn:
+    """Wraps a proxy's pipe end, keeping every message sent and received."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.sent, self.received = [], []
+
+    def send(self, message):
+        self.sent.append(message)
+        self.conn.send(message)
+
+    def poll(self, timeout):
+        return self.conn.poll(timeout)
+
+    def recv(self):
+        reply = self.conn.recv()
+        self.received.append(reply)
+        return reply
+
+    def close(self):
+        self.conn.close()
+
+
+def test_ipc_buffer_bytes_counts_request_and_reply_once_per_round_trip():
+    """``workers.ipc_buffer_bytes`` observes one value per round trip: the
+    coded buffers of the request *and* of the reply — for ``apply`` the
+    applied delta and the touched target facts come back as buffers too."""
+    histogram = METRICS.histogram("workers.ipc_buffer_bytes")
+    workload, exchange = skewed_exchange("ipc", "process")
+    try:
+        routing = exchange.routing_snapshot()
+        customer = next(
+            c for c, _ in exchange.source.relation("Account")
+            if exchange.plan.shard_of("Account", (c, "x"), routing) == 0
+        )
+        shard = exchange.shards[0]
+        recorder = shard._conn = _RecordingConn(shard._conn)
+        count, total = histogram.count, histogram.sum
+        shard.apply_delta(added=[("Account", (customer, "ipc-fresh"))])
+        [message], [reply] = recorder.sent, recorder.received
+        _, _, _, add_buf, _, rem_buf, _ = message
+        (_, applied_add), (_, applied_rem), split = reply[1]
+        reply_buffers = [applied_add, applied_rem] + [buf for _, buf in split]
+        request_bytes = 8 * (len(add_buf) + len(rem_buf))
+        reply_bytes = sum(8 * len(buf) for buf in reply_buffers)
+        assert request_bytes > 0 and reply_bytes > 0
+        assert histogram.count == count + 1
+        assert histogram.sum == total + request_bytes + reply_bytes
+    finally:
+        exchange.close()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-invariant AST lint (no third-party deps; CI gate).
 
-Walks ``src/`` and enforces four structural invariants that code review
+Walks ``src/`` and enforces six structural invariants that code review
 kept re-litigating:
 
 * ``private-accessor`` — the raw index accessors ``Instance._tuples`` /
@@ -26,6 +26,12 @@ kept re-litigating:
   series timestamps and rule windows derive from sampler ticks, so tests
   and the CLI can drive ``tick(at=...)`` deterministically.  A stray
   ``time.monotonic()`` elsewhere would fork the time base.
+* ``merged-view`` — ``_merged_view``, the sharded exchange's maintained
+  merged target view, is assigned only in ``ShardedExchange.__init__``,
+  ``_merged`` (the full build), ``_advance_merged`` (the per-batch
+  maintenance) and ``_swap_shards`` (the drop on a slot swap).  The view
+  is advanced from shard reports rather than rebuilt, so a write anywhere
+  else could publish a view its stamp does not describe.
 
 A finding can be waived on its line with ``# lint: allow(<rule>)`` — the
 waiver is part of the diff, so it shows up in review.
@@ -58,6 +64,12 @@ MONOTONIC_CALLS = {("time", "monotonic")}
 MONOTONIC_BARE = {"monotonic"}
 # The sampler: the one function allowed to read the monotonic clock.
 MONITOR_CLOCK_ALLOWED = {"_now"}
+MERGED_VIEW_ATTR = "_merged_view"
+# (class, method) pairs allowed to assign the merged view.
+MERGED_VIEW_WRITERS = {
+    ("ShardedExchange", name)
+    for name in ("__init__", "_merged", "_advance_merged", "_swap_shards")
+}
 
 ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
@@ -120,6 +132,34 @@ def _sampler_spans(tree: ast.AST) -> list[tuple[int, int]]:
         ):
             spans.append((node.lineno, node.end_lineno or node.lineno))
     return spans
+
+
+def _merged_view_writes(tree: ast.AST) -> list[tuple[ast.AST, tuple[str, str]]]:
+    """Assignments to ``._merged_view``, each with its ``(class, function)``
+    (the innermost enclosing ones; ``""`` where there is none)."""
+    writes: list[tuple[ast.AST, tuple[str, str]]] = []
+
+    def targets(node: ast.AST) -> list[ast.expr]:
+        if isinstance(node, ast.Assign):
+            return node.targets
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            return [node.target]
+        return []
+
+    def visit(node: ast.AST, cls: str, func: str) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls, func = node.name, ""
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        for target in targets(node):
+            for part in ast.walk(target):
+                if isinstance(part, ast.Attribute) and part.attr == MERGED_VIEW_ATTR:
+                    writes.append((part, (cls, func)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, func)
+
+    visit(tree, "", "")
+    return writes
 
 
 def _with_mutexes(node: ast.With, names: set[str]) -> bool:
@@ -215,6 +255,15 @@ def lint_file(path: Path) -> list[Finding]:
                         "_mutex; invert the nesting (snapshot paths take "
                         "_mutex last)",
                     )
+    for node, owner in _merged_view_writes(tree):
+        if owner not in MERGED_VIEW_WRITERS:
+            flag(
+                node,
+                "merged-view",
+                f".{MERGED_VIEW_ATTR} assigned in {'.'.join(filter(None, owner)) or 'module scope'}; "
+                "only ShardedExchange.__init__, _merged, _advance_merged and "
+                "_swap_shards may write the merged view",
+            )
     return findings
 
 
