@@ -27,13 +27,13 @@ import time
 from benchmarks._emit import make_emitter
 from benchmarks.conftest import record
 from repro.analysis import analyse_mapping
+from repro.analysis.compiled import compile_mapping
 from repro.chase.dependencies import TGD
 from repro.chase.engine import chase
 from repro.chase.weak_acyclicity import is_weakly_acyclic
 from repro.core.canonical import canonical_solution
 from repro.core.certain import certain_answers_naive
 from repro.serving import ExchangeService
-from repro.serving.registry import compile_mapping
 from repro.workloads.skewed import skewed_workload
 from repro.workloads.superweak import superweak_workload
 

@@ -1,5 +1,9 @@
 """Static analysis over compiled mappings (registration-time, pure).
 
+The compilation itself is :mod:`repro.analysis.compiled`, and the shard
+planner is :mod:`repro.analysis.shardability`; the serving layer imports
+both and nothing here imports the serving layer.
+
 Four passes share one dependency/position-graph artifact and report
 structured :class:`~repro.analysis.diagnostics.Diagnostic` records:
 
@@ -21,8 +25,7 @@ registered example workloads.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from repro.analysis.compiled import CompiledMapping
 from repro.analysis.containment import (
     mapping_contained,
     registry_containment_scan,
@@ -35,7 +38,6 @@ from repro.analysis.diagnostics import (
     Severity,
     report,
 )
-from repro.analysis.positions import PositionEdge, PositionGraph, WitnessCycle
 from repro.analysis.redundancy import (
     analyse_redundancy,
     implied_dependency,
@@ -43,6 +45,7 @@ from repro.analysis.redundancy import (
     redundant_std_indexes,
 )
 from repro.analysis.shardability import (
+    PartitionSpec,
     analyse_shardability_diagnostics,
     plan_diagnostics,
 )
@@ -56,10 +59,7 @@ from repro.analysis.termination import (
     is_stratified_safe,
     is_super_weakly_acyclic,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; avoids the serving import
-    from repro.serving.registry import CompiledMapping
-    from repro.serving.sharding import PartitionSpec
+from repro.chase.weak_acyclicity import PositionEdge, PositionGraph, WitnessCycle
 
 __all__ = [
     "AnalysisReport",
@@ -92,8 +92,8 @@ __all__ = [
 
 
 def analyse_mapping(
-    compiled: "CompiledMapping",
-    spec: "PartitionSpec | None" = None,
+    compiled: CompiledMapping,
+    spec: PartitionSpec | None = None,
     scope: str = "mapping",
 ) -> AnalysisReport:
     """Run the single-mapping passes and merge their diagnostics.

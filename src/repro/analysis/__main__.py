@@ -30,7 +30,7 @@ from repro.analysis import (
     registry_containment_scan,
     report,
 )
-from repro.serving.registry import CompiledMapping, MappingRejected, compile_mapping
+from repro.analysis.compiled import CompiledMapping, MappingRejected, compile_mapping
 from repro.workloads import (
     churn_dependencies,
     churn_mapping,

@@ -19,14 +19,12 @@ STDs must all be CQ-bodied.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
+from repro.analysis.compiled import CompiledMapping
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.redundancy import implied_std
 from repro.core.std import STD
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; avoids the serving import
-    from repro.serving.registry import CompiledMapping
 
 PASS_NAME = "containment"
 
@@ -63,7 +61,7 @@ def mapping_contained(
     return witnesses
 
 
-def _pair_obstacle(left: "CompiledMapping", right: "CompiledMapping") -> str | None:
+def _pair_obstacle(left: CompiledMapping, right: CompiledMapping) -> str | None:
     """Why the probe cannot compare a pair, or ``None`` when it can."""
     left_source = {r.name for r in left.mapping.source.relations()}
     right_source = {r.name for r in right.mapping.source.relations()}
@@ -77,7 +75,7 @@ def _pair_obstacle(left: "CompiledMapping", right: "CompiledMapping") -> str | N
 
 
 def registry_containment_scan(
-    scenarios: Mapping[str, "CompiledMapping"]
+    scenarios: Mapping[str, CompiledMapping]
 ) -> tuple[Diagnostic, ...]:
     """Pairwise containment over registered scenarios.
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.positions import Position, PositionGraph, WitnessCycle
+from repro.chase.weak_acyclicity import Position, PositionGraph, WitnessCycle
 from repro.chase.dependencies import EGD, TGD
 from repro.logic.formulas import Atom
 from repro.logic.terms import Const, FuncTerm, Term, Var

@@ -48,13 +48,14 @@ def _as_query(query: AnyQuery, mapping: SchemaMapping | None = None) -> Query:
     """Coerce the supported query representations into a :class:`Query`."""
     if isinstance(query, Query):
         return query
-    if isinstance(query, ConjunctiveQuery):
-        return Query(query.to_formula(), query.head, name=query.name, monotone=True)
-    if isinstance(query, UnionOfConjunctiveQueries):
+    if isinstance(query, (ConjunctiveQuery, UnionOfConjunctiveQueries)):
+        if len(query.disjuncts) == 1:
+            (single,) = query.disjuncts
+            return Query(single.to_formula(), single.head, name=query.name, monotone=True)
         from repro.logic.formulas import disjunction, substitute
         from repro.logic.terms import Var
 
-        # Align all disjuncts on a common tuple of answer variables.
+        # Align the disjuncts on a common tuple of answer variables.
         answer_vars = tuple(Var(f"u{i}") for i in range(query.arity))
         formulas = []
         for disjunct in query.disjuncts:

@@ -798,6 +798,11 @@ class ConjunctiveQuery:
     def arity(self) -> int:
         return len(self.head)
 
+    @property
+    def disjuncts(self) -> tuple["ConjunctiveQuery", ...]:
+        """The query as a one-disjunct union: the shape a UCQ exposes."""
+        return (self,)
+
     def variables(self) -> set[Var]:
         out = set(self.head)
         for atom in self.atoms:

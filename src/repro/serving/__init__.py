@@ -83,6 +83,8 @@ Library code embedding a single-threaded exchange can keep using
 the update entry point there.
 """
 
+from repro.analysis.compiled import CompiledMapping, CompiledSTD, compile_mapping
+from repro.analysis.shardability import PartitionSpec, ShardPlan, analyse_shardability
 from repro.obs import (
     FLIGHT_RECORDER,
     METRICS,
@@ -119,13 +121,7 @@ from repro.serving.materialized import (
     ServingError,
     UpdateStats,
 )
-from repro.serving.registry import (
-    CompiledMapping,
-    CompiledSTD,
-    ScenarioRegistry,
-    compile_mapping,
-    mapping_fingerprint,
-)
+from repro.serving.registry import ScenarioRegistry, mapping_fingerprint
 from repro.serving.service import (
     ExchangeService,
     QueryRequest,
@@ -136,13 +132,7 @@ from repro.serving.service import (
     UpdateRequest,
     UpdateResult,
 )
-from repro.serving.sharding import (
-    PartitionSpec,
-    ShardedExchange,
-    ShardingStats,
-    ShardPlan,
-    analyse_shardability,
-)
+from repro.serving.sharding import ShardedExchange, ShardingStats
 
 __all__ = [
     "FLIGHT_RECORDER",

@@ -46,7 +46,10 @@ additions and retractions and paying each maintenance phase **once**:
 
 A failing repair (egd conflict, blown step budget) rejects the whole batch:
 the source mutation is reverted, the canonical layer re-synced, and the
-target rebuilt — all-or-nothing.  The cached core follows the same
+target re-chased from it and installed in place — all-or-nothing.  An
+egd-entangled replay installs its re-chase the same way, so in every
+outcome the raw version counters advance for exactly the target relations
+whose contents changed.  The cached core follows the same
 philosophy: additions *and* removals are repaired block-locally by
 :func:`~repro.serving.core_engine.core_of_delta`, with full recomputation
 reserved for egd rewrites.
@@ -72,6 +75,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 
+from repro.analysis.compiled import CompiledMapping, CompiledSTD
 from repro.chase.engine import ChaseFailure
 from repro.chase.incremental import (
     ChaseProvenance,
@@ -89,7 +93,6 @@ from repro.logic.cq import (
 )
 from repro.obs.explain import CacheProbe, JoinStep, QueryExplain
 from repro.obs.flight import FLIGHT_RECORDER
-from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.logic.formulas import relations_of
 from repro.logic.queries import Query
@@ -104,7 +107,6 @@ from repro.serving.cache import (
     version_vector,
 )
 from repro.serving.core_engine import core_of_delta, core_of_indexed
-from repro.serving.registry import CompiledMapping, CompiledSTD
 
 Fact = tuple[str, tuple]
 TriggerKey = tuple[int, tuple]
@@ -112,19 +114,6 @@ TriggerKey = tuple[int, tuple]
 #: recorded, or ``(present, absent)`` once split by membership — or ``None``
 #: when an egd rewrite or a replay leaves them unknown.
 TouchedFacts = Optional[tuple[tuple[Fact, ...], tuple[Fact, ...]]]
-
-# Bound once: per-batch observations resolve no registry names inline.
-_CHASE_STEPS = METRICS.histogram(
-    "chase.steps_per_batch", "chase/DRed steps paid by one applied batch"
-)
-_JOIN_ESTIMATE = METRICS.histogram(
-    "query.join_estimate_rows",
-    "planner candidate-set estimates per explained join step",
-)
-_JOIN_ACTUAL = METRICS.histogram(
-    "query.join_actual_rows",
-    "true relation cardinalities per explained join step",
-)
 
 
 class ServingError(Exception):
@@ -229,9 +218,7 @@ def query_target_relations(query: AnyQuery, normalized: Query) -> list[str]:
     ``normalized`` is the :class:`~repro.logic.queries.Query` coercion of
     ``query`` (algebra expressions only carry their relations there).
     """
-    if isinstance(query, ConjunctiveQuery):
-        return sorted(query.relations())
-    if isinstance(query, UnionOfConjunctiveQueries):
+    if isinstance(query, (ConjunctiveQuery, UnionOfConjunctiveQueries)):
         return sorted({r for cq in query.disjuncts for r in cq.relations()})
     if isinstance(query, Query):
         return sorted(relations_of(query.formula))
@@ -445,25 +432,13 @@ class ExchangeFront:
     @staticmethod
     def _explain_join_order(query: AnyQuery, instance: Instance) -> tuple[JoinStep, ...]:
         """The greedy join order(s) a CQ/UCQ would bind, with cardinalities."""
-        disjuncts: tuple[ConjunctiveQuery, ...]
-        if isinstance(query, ConjunctiveQuery):
-            disjuncts = (query,)
-        elif isinstance(query, UnionOfConjunctiveQueries):
-            disjuncts = tuple(query.disjuncts)
-        else:
+        if not isinstance(query, (ConjunctiveQuery, UnionOfConjunctiveQueries)):
             return ()
-        steps: list[JoinStep] = []
-        for cq in disjuncts:
-            for atom, relation, estimate, actual in greedy_join_order(cq, instance):
-                steps.append(
-                    JoinStep(
-                        atom=atom, relation=relation, estimate=estimate, actual=actual
-                    )
-                )
-                if METRICS.enabled:
-                    _JOIN_ESTIMATE.observe(estimate)
-                    _JOIN_ACTUAL.observe(actual)
-        return tuple(steps)
+        return tuple(
+            JoinStep(atom=atom, relation=relation, estimate=estimate, actual=actual)
+            for cq in query.disjuncts
+            for atom, relation, estimate, actual in greedy_join_order(cq, instance)
+        )
 
     def certain_answers(
         self,
@@ -527,12 +502,6 @@ class MaterializedExchange(ExchangeFront):
         # delete-and-rederive; None when there are no target dependencies
         # (the canonical layer's support counts already repair everything).
         self._provenance: Optional[ChaseProvenance] = None
-        # Per-relation offsets added to the target's raw version counters.
-        # Instance.copy() (and hence every chase result) restarts counters at
-        # zero, so whenever self._target is rebound the offsets are recomputed
-        # to keep the *combined* version of an unchanged relation identical
-        # (cache entries stay valid) and to strictly advance changed ones.
-        self._version_base: dict[str, int] = {}
 
         # Fire only the active STDs: indexes dropped by the redundancy lint
         # contribute nothing the rest of the mapping does not already derive
@@ -855,9 +824,9 @@ class MaterializedExchange(ExchangeFront):
         A failing update (an egd conflict, a blown step budget) means the
         *updated* source has no solution — the update is rejected: the source
         mutation is reverted, the canonical layer re-synced through the same
-        trigger diffing that applied it, and the chased target rebuilt from
-        the (again consistent) canonical layer, so the exchange keeps serving
-        the pre-update scenario.
+        trigger diffing that applied it, and the target re-chased from the
+        (again consistent) canonical layer and installed in place, so the
+        exchange keeps serving the pre-update scenario.
         """
         for name, tup in to_remove:
             self.source.discard(name, tup)
@@ -869,15 +838,24 @@ class MaterializedExchange(ExchangeFront):
         for cstd in self.compiled.listeners(touched):
             self._resync_std(cstd)
         if self.compiled.target_dependencies:
-            self._rebind_target(
-                self._full_chase(self._canonical), self._target_versions(), None
-            )
+            self._install_target(self._full_chase(self._canonical))
         self._core_delta = None
         # A failed update may have bumped versions of relations that are now
         # back to their old contents; dropping every cached answer is cheaper
         # (and more obviously safe) than auditing version continuity across a
         # half-applied update, and rollbacks are rare.
         self._cache.invalidate_all()
+
+    def _install_target(self, fresh: Instance) -> None:
+        """Make the live target equal to ``fresh`` (a from-scratch chase) in
+        place: discard the facts it lacks, add the facts it gains.  The raw
+        version counters then advance for exactly the relations whose
+        contents changed, so cached answers over the others stay fresh."""
+        target = self._target
+        for fact in [fact for fact in target.facts() if fact not in fresh]:
+            target.discard(*fact)
+        for fact in fresh.facts():
+            target.add(*fact)
 
     def _full_chase(self, canonical: Instance) -> Instance:
         """Chase the canonical layer from scratch, rebuilding the provenance."""
@@ -910,10 +888,10 @@ class MaterializedExchange(ExchangeFront):
         registrations first), and one :func:`retract_incremental` call both
         over-deletes/re-derives the withdrawal and propagates the additions
         through the same worklist drain.  Pure additions take the in-place
-        delta-seeded chase (no per-batch copy, no version rebind — the
-        rollback path is the failure net).  In every in-place outcome the raw
-        version counters advance for exactly the touched relations, keeping
-        cache entries over untouched relations warm.
+        delta-seeded chase (no per-batch copy — the rollback path is the
+        failure net).  In every outcome, the replay's install included, the
+        raw version counters advance for exactly the touched relations,
+        keeping cache entries over untouched relations warm.
 
         Returns the target facts the repair touched as ``(added, removed)``
         — the one record the core repair and
@@ -927,9 +905,6 @@ class MaterializedExchange(ExchangeFront):
             # The target *is* the canonical layer, already repaired in place.
             return added, removed
         if removed:
-            # Sampled for the replay branch only; the in-place paths never
-            # rebind, so they need no version bookkeeping at all.
-            old_versions = self._target_versions()
             # Stage the additions before the combined repair: a staged fact in
             # the downward closure of the withdrawal survives over-deletion
             # through its fresh base registration (the batch retracted one
@@ -959,34 +934,29 @@ class MaterializedExchange(ExchangeFront):
                 # A withdrawn fact supported an egd merge whose substitution
                 # cannot be unwound: replay from the repaired canonical layer
                 # (which already reflects `added`; the facts staged above are
-                # superseded by the rebind, and the replay rebuilds the
+                # reconciled by the install, and the replay rebuilds the
                 # provenance from scratch).
                 self.update_stats.replays += 1
                 FLIGHT_RECORDER.record(
                     "egd_replay", scenario=self.name, removed=len(removed)
                 )
                 with TRACER.span("exchange.egd_replay", scenario=self.name):
-                    self._rebind_target(
-                        self._full_chase(self._canonical), old_versions, None
-                    )
+                    self._install_target(self._full_chase(self._canonical))
                 return None
             if not retraction.terminated:
                 raise ServingError(
                     f"target chase of scenario {self.name!r} did not terminate"
                 )
-            if METRICS.enabled:
-                _CHASE_STEPS.observe(len(retraction.steps))
             # The target was repaired in place: raw version counters advanced
-            # for exactly the touched relations, so no rebind is needed.
+            # for exactly the touched relations.
             if any(step.kind == "egd" for step in retraction.steps):
                 return None
             return added + retraction.added, retraction.removed
         if not added:
             return [], []
         # Pure addition: extend the chase in place, seeded from the delta —
-        # no per-batch target copy and no `_version_base` rebind (the ROADMAP
-        # open item); a failure leaves the target partially chased, which the
-        # caller's rollback repairs by rebuilding from the canonical layer.
+        # no per-batch target copy; a failure leaves the target partially
+        # chased, which the caller's rollback repairs from the canonical layer.
         self._provenance.add_base(added)
         for fact in added:
             self._target.add(*fact)
@@ -1005,8 +975,6 @@ class MaterializedExchange(ExchangeFront):
             ) from failure
         if not result.terminated:
             raise ServingError(f"target chase of scenario {self.name!r} did not terminate")
-        if METRICS.enabled:
-            _CHASE_STEPS.observe(len(result.steps))
         if any(step.kind == "egd" for step in result.steps):
             # Substitutions rewrote facts in relations the delta did not
             # record; the in-place substitution bumped exactly the rewritten
@@ -1021,31 +989,8 @@ class MaterializedExchange(ExchangeFront):
         if relations is None:
             relations = [r.name for r in self.compiled.mapping.target.relations()]
         return tuple(
-            (name, self._version_base.get(name, 0) + self._target.version(name))
-            for name in sorted(set(relations))
+            (name, self._target.version(name)) for name in sorted(set(relations))
         )
-
-    def _rebind_target(
-        self,
-        new_target: Instance,
-        old_versions: VersionVector,
-        changed: set[str] | None,
-    ) -> None:
-        """Install a fresh chase result as the target, preserving version continuity.
-
-        ``old_versions`` is the combined version vector sampled *before* the
-        update began; ``changed`` names the relations whose contents may
-        differ from then (``None`` = assume all).  Unchanged relations keep
-        their combined version, changed ones advance past it.
-        """
-        old = dict(old_versions)
-        self._version_base = {
-            name: old.get(name, 0)
-            + (1 if changed is None or name in changed else 0)
-            - new_target.version(name)
-            for name in [r.name for r in self.compiled.mapping.target.relations()]
-        }
-        self._target = new_target
 
     def _monotone_route(self, query: AnyQuery) -> str:
         """``core`` for UCQs, ``target`` for other monotone queries.

@@ -2,124 +2,27 @@
 
 A *scenario* is a named data-exchange deployment: an annotated schema mapping,
 an optional set of target dependencies, and a live source instance.  The
-registry compiles each distinct mapping exactly once — Skolemization, the
-per-STD trigger plan (which source relations feed which STDs, and whether each
-body is a conjunctive query the semi-naive matcher can drive), and the
-weak-acyclicity check of the target tgds — and shares the compilation between
-every scenario that uses the mapping.  Registration hands back a
-:class:`~repro.serving.materialized.MaterializedExchange`, the long-lived
-object queries and updates are served from.
+registry compiles each distinct mapping exactly once
+(:func:`~repro.analysis.compiled.compile_mapping`: Skolemization, the per-STD
+trigger plan, the tiered termination gate), keyed by its structural
+:func:`mapping_fingerprint`, and shares the compilation between every
+scenario that uses the mapping.  Registration hands back a
+:class:`~repro.serving.materialized.MaterializedExchange` (or a
+:class:`~repro.serving.sharding.ShardedExchange`), the long-lived object
+queries and updates are served from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from repro.analysis.termination import TerminationDecision, analyse_termination
+from repro.analysis.compiled import CompiledMapping, compile_mapping
+from repro.analysis.shardability import PartitionSpec
 from repro.chase.dependencies import EGD, TGD
 from repro.core.mapping import SchemaMapping
-from repro.core.skolem import SkolemMapping, skolemize
-from repro.core.std import STD
-from repro.logic.cq import decompose_exists_cq
-from repro.logic.formulas import Atom, Eq
-from repro.logic.terms import Var
 from repro.relational.instance import Instance
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sharding imports us)
-    from repro.serving.materialized import MaterializedExchange
-    from repro.serving.sharding import PartitionSpec, ShardedExchange, ShardPlan
-
-
-class MappingRejected(ValueError):
-    """A mapping failed the tiered termination gate.
-
-    The exception message is the rendered rejection diagnostic — tier ladder
-    plus the concrete witness cycle through a special edge — and ``decision``
-    carries the machine-readable :class:`TerminationDecision`.
-    """
-
-    def __init__(self, message: str, decision: TerminationDecision):
-        super().__init__(message)
-        self.decision = decision
-
-
-@dataclass(frozen=True)
-class CompiledSTD:
-    """One STD with its body pre-analysed for incremental matching.
-
-    ``atoms``/``equalities`` hold the conjunctive decomposition of the body
-    when it is CQ-shaped (``None`` otherwise — such bodies are re-evaluated in
-    full on every update), ``free_vars`` are the body's free variables in the
-    order assignments are projected to, and ``existential`` the head-only
-    variables instantiated with nulls.
-    """
-
-    index: int
-    std: STD
-    atoms: tuple[Atom, ...] | None
-    equalities: tuple[Eq, ...] | None
-    free_vars: tuple[Var, ...]
-    existential: tuple[Var, ...]
-    source_relations: frozenset[str]
-
-    @property
-    def incremental(self) -> bool:
-        """Can additions be matched semi-naively through ``match_atoms_delta``?"""
-        return self.atoms is not None
-
-
-@dataclass(frozen=True)
-class CompiledMapping:
-    """A mapping compiled for serving: analysis done once, reused per scenario."""
-
-    mapping: SchemaMapping
-    skolem: SkolemMapping
-    stds: tuple[CompiledSTD, ...]
-    # source relation -> indexes of the STDs whose body mentions it.
-    trigger_plan: dict[str, tuple[int, ...]]
-    # Chase termination certified by the tiered gate: compile_mapping rejects
-    # anything no tier accepts.
-    target_dependencies: tuple[TGD | EGD, ...]
-    # The tiered gate's verdict (None only for hand-built test fixtures).
-    termination: TerminationDecision | None = field(default=None, compare=False)
-    # STD indexes dropped by the redundancy lint (compile with
-    # drop_redundant=True).  ``stds`` stays complete with stable indexes —
-    # trigger keys and justification nulls embed them — and the dropped
-    # indexes are simply excluded from the trigger plan and from
-    # ``active_stds``, the tuple materialization fires.
-    dropped_stds: frozenset[int] = frozenset()
-
-    @property
-    def active_stds(self) -> tuple[CompiledSTD, ...]:
-        """The STDs that actually fire (everything minus the dropped ones)."""
-        if not self.dropped_stds:
-            return self.stds
-        return tuple(c for c in self.stds if c.index not in self.dropped_stds)
-
-    def listeners(self, relations: Sequence[str]) -> list[CompiledSTD]:
-        """The compiled STDs whose bodies mention any of ``relations``."""
-        indexes = sorted(
-            {i for name in relations for i in self.trigger_plan.get(name, ())}
-        )
-        return [self.stds[i] for i in indexes]
-
-    def shard_plan(
-        self, partition: "PartitionSpec", force_residual: bool = False
-    ) -> "ShardPlan":
-        """The shardability analysis of this mapping under ``partition``.
-
-        Decides which STDs fire shard-locally (bodies connected through the
-        partition key), which source relations fall back to the residual
-        shard, and whether the target dependencies can join across the
-        partition — see :func:`repro.serving.sharding.analyse_shardability`.
-        The analysis is pure and cheap (a couple of fixpoint passes over the
-        STD and dependency structure), so it is recomputed per registration
-        rather than cached on this frozen object.
-        """
-        from repro.serving.sharding import analyse_shardability
-
-        return analyse_shardability(self, partition, force_residual=force_residual)
+from repro.serving.materialized import MaterializedExchange
+from repro.serving.sharding import ShardedExchange
 
 
 def mapping_fingerprint(
@@ -143,79 +46,6 @@ def mapping_fingerprint(
     return f"source={source!r}|target={target!r}|stds={stds}|deps={deps}"
 
 
-def _compile_std(index: int, std: STD) -> CompiledSTD:
-    atoms: tuple[Atom, ...] | None = None
-    equalities: tuple[Eq, ...] | None = None
-    decomposed = decompose_exists_cq(std.body)
-    if decomposed is not None:
-        atom_list, eq_list, _quantified = decomposed
-        atoms = tuple(atom_list)
-        equalities = tuple(eq_list)
-    return CompiledSTD(
-        index=index,
-        std=std,
-        atoms=atoms,
-        equalities=equalities,
-        free_vars=tuple(sorted(std.body_variables(), key=lambda v: v.name)),
-        existential=tuple(sorted(std.existential_variables(), key=lambda v: v.name)),
-        source_relations=frozenset(std.source_relations()),
-    )
-
-
-def compile_mapping(
-    mapping: SchemaMapping,
-    target_dependencies: Sequence[TGD | EGD] = (),
-    drop_redundant: bool = False,
-) -> CompiledMapping:
-    """Compile a mapping for serving (see module docstring).
-
-    The termination gate is tiered (:func:`analyse_termination`): weak
-    acyclicity first, then the safe restriction, super-weak acyclicity and
-    the stratified decomposition.  A mapping no tier certifies raises
-    :class:`MappingRejected` whose message carries the concrete witness
-    cycle through a special edge — a long-lived materialization cannot be
-    maintained by a chase whose termination is not guaranteed.
-
-    ``drop_redundant=True`` additionally runs the redundancy lint and
-    excludes STDs implied by the rest of the mapping from the trigger plan
-    (indexes stay stable; see :attr:`CompiledMapping.dropped_stds`).
-    """
-    deps = tuple(target_dependencies)
-    decision = analyse_termination(deps)
-    if not decision.accepted:
-        witness = decision.render_witness()
-        message = (
-            "the target tgds are not weakly acyclic and no richer termination "
-            "tier (safety, super-weak acyclicity, stratified decomposition) "
-            "certifies the chase; a materialized exchange requires guaranteed "
-            "chase termination"
-        )
-        if witness:
-            message += f"; witness cycle through a special edge: {witness}"
-        raise MappingRejected(message, decision)
-    stds = tuple(_compile_std(i, std) for i, std in enumerate(mapping.stds))
-    dropped: frozenset[int] = frozenset()
-    if drop_redundant:
-        from repro.analysis.redundancy import redundant_std_indexes
-
-        dropped = frozenset(redundant_std_indexes(mapping.stds))
-    trigger_plan: dict[str, list[int]] = {}
-    for compiled in stds:
-        if compiled.index in dropped:
-            continue
-        for relation in compiled.source_relations:
-            trigger_plan.setdefault(relation, []).append(compiled.index)
-    return CompiledMapping(
-        mapping=mapping,
-        skolem=skolemize(mapping),
-        stds=stds,
-        trigger_plan={name: tuple(ids) for name, ids in trigger_plan.items()},
-        target_dependencies=deps,
-        termination=decision,
-        dropped_stds=dropped,
-    )
-
-
 class ScenarioRegistry:
     """Registry of named scenarios sharing per-mapping compilations.
 
@@ -233,7 +63,7 @@ class ScenarioRegistry:
         # deregistration can evict compilations no registered scenario uses
         # any more.
         self._compilations: dict[str, CompiledMapping] = {}
-        self._scenarios: dict[str, "MaterializedExchange | ShardedExchange"] = {}
+        self._scenarios: dict[str, MaterializedExchange | ShardedExchange] = {}
         self._scenario_keys: dict[str, str] = {}
 
     @staticmethod
@@ -275,7 +105,7 @@ class ScenarioRegistry:
         shard_workers: int | str | None = None,
         force_residual: bool = False,
         drop_redundant: bool = False,
-    ) -> "MaterializedExchange | ShardedExchange":
+    ) -> MaterializedExchange | ShardedExchange:
         """Register a scenario (see the class docstring).
 
         With ``shards`` given, the scenario materializes as a
@@ -290,8 +120,6 @@ class ScenarioRegistry:
         the always-correct degenerate configuration differential tests pin
         the analysis against.
         """
-        from repro.serving.materialized import MaterializedExchange
-
         if name in self._scenarios:
             raise ValueError(f"scenario {name!r} is already registered")
         if shards is None and (
@@ -311,8 +139,6 @@ class ScenarioRegistry:
         # compilation only once the scenario actually registers, so failed
         # registrations leave nothing pinned behind.
         if shards is not None:
-            from repro.serving.sharding import PartitionSpec, ShardedExchange
-
             worker_mode = "thread"
             max_workers = shard_workers
             if isinstance(shard_workers, str):
@@ -347,7 +173,7 @@ class ScenarioRegistry:
         self._scenario_keys[name] = key
         return exchange
 
-    def get(self, name: str) -> "MaterializedExchange | ShardedExchange":
+    def get(self, name: str) -> MaterializedExchange | ShardedExchange:
         try:
             return self._scenarios[name]
         except KeyError:
@@ -368,7 +194,7 @@ class ScenarioRegistry:
     def __len__(self) -> int:
         return len(self._scenarios)
 
-    def __iter__(self) -> Iterator["MaterializedExchange | ShardedExchange"]:
+    def __iter__(self) -> Iterator[MaterializedExchange | ShardedExchange]:
         return iter(self._scenarios[name] for name in self.names())
 
     def __contains__(self, name: object) -> bool:

@@ -94,19 +94,8 @@ FactInput = tuple[str, Iterable[Any]]
 
 # Module-level instrument handles: resolving by name costs a registry
 # lookup under its mutex, so the per-request path binds them once here.
-_QUERY_LOCK_WAIT = METRICS.histogram(
-    "service.query.lock_wait_seconds",
-    "read-lock acquisition time per served query",
-)
 _QUERY_EVALUATE = METRICS.histogram(
     "service.query.evaluate_seconds", "answer() time per served query"
-)
-_QUERY_CACHE_HIT = METRICS.histogram(
-    "service.query.cache_hit_seconds", "answer() time of cache-hit queries"
-)
-_UPDATE_LOCK_WAIT = METRICS.histogram(
-    "service.update.lock_wait_seconds",
-    "write-lock acquisition time per committed scenario batch",
 )
 _UPDATE_APPLY = METRICS.histogram(
     "service.update.apply_seconds", "apply_delta() time per committed scenario batch"
@@ -361,7 +350,6 @@ class Transaction:
                     after = exchange.update_stats
                     elapsed = time.perf_counter() - start
                     if METRICS.enabled:
-                        _UPDATE_LOCK_WAIT.observe(lock_waits.get(name, 0.0))
                         _UPDATE_APPLY.observe(elapsed)
                     self.results[name] = UpdateResult(
                         scenario=name,
@@ -657,10 +645,7 @@ class ExchangeService:
         lock_wait = locked_at - start
         evaluate = done - locked_at
         if METRICS.enabled:
-            _QUERY_LOCK_WAIT.observe(lock_wait)
             _QUERY_EVALUATE.observe(evaluate)
-            if outcome.cached:
-                _QUERY_CACHE_HIT.observe(evaluate)
         if slow_hit and (slow_log := self._slow_log) is not None:
             slow_log.record(
                 scenario=request.scenario,

@@ -59,6 +59,7 @@ from array import array
 from itertools import chain
 from typing import Any, Callable, Iterable, Optional
 
+from repro.analysis.compiled import CompiledMapping, compile_mapping
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.relational.instance import Instance
@@ -76,7 +77,6 @@ from repro.serving.materialized import (
     TouchedFacts,
     UpdateStats,
 )
-from repro.serving.registry import CompiledMapping, compile_mapping
 
 __all__ = ["ProcessShard", "WorkerGone"]
 

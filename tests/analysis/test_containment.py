@@ -1,5 +1,6 @@
 """Cross-mapping containment probe over a registry of compiled mappings."""
 
+from repro.analysis.compiled import compile_mapping
 from repro.analysis.containment import (
     mapping_contained,
     registry_containment_scan,
@@ -7,7 +8,6 @@ from repro.analysis.containment import (
 )
 from repro.core.mapping import mapping_from_rules
 from repro.core.std import parse_std
-from repro.serving.registry import compile_mapping
 
 
 def compiled(rules, source, target, name):

@@ -301,3 +301,72 @@ def test_current_tree_is_clean():
     spec.loader.exec_module(module)
     findings = module.lint_paths([TOOL.parent.parent / "src"])
     assert findings == [], "\n".join(f.render() for f in findings)
+
+
+def test_layering_flags_a_type_checking_import(lint):
+    module, root = lint
+    path = write(
+        root,
+        "src/repro/analysis/x.py",
+        """
+        from typing import TYPE_CHECKING
+
+        from repro.chase.dependencies import TGD
+
+        if TYPE_CHECKING:
+            from repro.serving.registry import ScenarioRegistry
+        """,
+    )
+    findings = module.lint_file(path)
+    assert [(f.rule, f.line) for f in findings] == [("layering", 7)]
+    assert "repro.analysis imports repro.serving" in findings[0].message
+
+
+def test_layering_flags_a_function_local_import(lint):
+    module, root = lint
+    path = write(
+        root,
+        "src/repro/analysis/x.py",
+        """
+        def plan():
+            import repro.serving.sharding
+
+            return repro.serving.sharding
+        """,
+    )
+    assert [f.rule for f in module.lint_file(path)] == ["layering"]
+
+
+def test_layering_flags_chase_importing_analysis(lint):
+    module, root = lint
+    path = write(
+        root,
+        "src/repro/chase/y.py",
+        """
+        from repro.analysis import analyse_mapping
+        from repro.logic.terms import Var
+        """,
+    )
+    findings = module.lint_file(path)
+    assert [(f.rule, f.line) for f in findings] == [("layering", 2)]
+
+
+def test_layering_exempts_main_clis(lint):
+    module, root = lint
+    path = write(
+        root,
+        "src/repro/analysis/__main__.py",
+        "from repro.serving.registry import ScenarioRegistry\n",
+    )
+    assert module.lint_file(path) == []
+
+
+def test_layering_table_names_every_package_of_the_real_tree():
+    # test_current_tree_is_clean checks the imports; this checks that no
+    # package escapes the table.
+    spec = importlib.util.spec_from_file_location("lint_repro_layers", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    repro = TOOL.parent.parent / "src" / "repro"
+    packages = {path.name for path in repro.iterdir() if (path / "__init__.py").exists()}
+    assert packages == set(module.LAYERS)

@@ -1,5 +1,6 @@
 """Chase-based redundancy lint: implied STDs/dependencies, greedy drop."""
 
+from repro.analysis.compiled import compile_mapping
 from repro.analysis.redundancy import (
     analyse_redundancy,
     implied_dependency,
@@ -10,7 +11,7 @@ from repro.chase.dependencies import parse_dependencies
 from repro.core.mapping import mapping_from_rules
 from repro.core.std import parse_std
 from repro.relational.builders import make_instance
-from repro.serving.registry import ScenarioRegistry, compile_mapping
+from repro.serving.registry import ScenarioRegistry
 
 
 def test_duplicate_std_is_implied():

@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro.analysis.__main__ import analyse_workloads, main
+from repro.analysis.compiled import MappingRejected, compile_mapping
 from repro.chase.dependencies import parse_dependencies
 from repro.core.mapping import mapping_from_rules
 from repro.relational.builders import make_instance
-from repro.serving.registry import MappingRejected, compile_mapping
 from repro.serving.service import ExchangeService
 from repro.workloads import superweak_dependencies, superweak_mapping
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import analyse_termination
-from repro.analysis.positions import PositionGraph, render_position
 from repro.analysis.termination import (
     TIER_ORDER,
     affected_positions,
@@ -13,7 +12,12 @@ from repro.analysis.termination import (
 )
 from repro.chase.dependencies import TGD, parse_dependencies
 from repro.chase.engine import chase
-from repro.chase.weak_acyclicity import dependency_graph, is_weakly_acyclic
+from repro.chase.weak_acyclicity import (
+    PositionGraph,
+    dependency_graph,
+    is_weakly_acyclic,
+    render_position,
+)
 from repro.relational.builders import make_instance
 
 

@@ -20,6 +20,7 @@ from repro.serving import (
     QueryExplain,
     QueryRequest,
     ServingError,
+    analyse_shardability,
     compile_mapping,
 )
 from repro.workloads.churn import churn_workload
@@ -257,7 +258,7 @@ def test_scatter_verdict_rule_strings():
         source={"S": 2, "D": 2, "E": 2},
         target={"T": 2, "K": 2},
     )
-    plan = compile_mapping(mapping).shard_plan(PartitionSpec(3))
+    plan = analyse_shardability(compile_mapping(mapping), PartitionSpec(3))
     single = cq(["x"], [("T", ["x", "y"])], name="single")
     joined = cq(["x"], [("T", ["x", "y"]), ("K", ["x", "r"])], name="joined")
     crossed = cq(["x"], [("T", ["x", "y"]), ("K", ["y", "r"])], name="crossed")

@@ -4,7 +4,11 @@ import pytest
 
 from repro.chase.dependencies import parse_dependencies
 from repro.core.canonical import canonical_solution
-from repro.core.certain import certain_answers, certain_answers_positive
+from repro.core.certain import (
+    certain_answers,
+    certain_answers_naive,
+    certain_answers_positive,
+)
 from repro.core.mapping import mapping_from_rules
 from repro.core.target_constraints import ExchangeSetting, exchange
 from repro.logic.cq import cq
@@ -476,36 +480,49 @@ def test_mixed_delta_rolls_back_whole_batch_on_egd_failure():
 def test_mixed_delta_with_egd_entangled_retraction_replays():
     # The combined path's replay fallback: the retract side is entangled with
     # an egd merge, so the repair re-chases from the repaired canonical layer
-    # — which must already include the batch's additions.
+    # — which must already include the batch's additions.  The re-chase is
+    # installed into the live target by diff, so a relation the replay left
+    # unchanged keeps its version, and its cached answers keep hitting.
     deps = parse_dependencies(DEPT_DEPS)
-    exchange_ = register(
-        dept_mapping(), make_instance({"E": [("a", "b"), ("a", "c"), ("b", "d")]}), deps
+    mapping = mapping_from_rules(
+        ["D(x, z^op), P(z^op, y) :- E(x, y)", "Site(s) :- L(s)"],
+        source={"E": 2, "L": 1},
+        target={"D": 2, "P": 2, "M": 2, "Site": 1},
     )
-    setting = ExchangeSetting(dept_mapping(), tuple(deps))
+    exchange_ = register(
+        mapping,
+        make_instance({"E": [("a", "b"), ("a", "c"), ("b", "d")], "L": [("s1",)]}),
+        deps,
+    )
+    setting = ExchangeSetting(mapping, tuple(deps))
+    sites = cq(["s"], [("Site", ["s"])])
+    queries = [sites, cq(["x"], [("D", ["x", "d"])]), cq(["y"], [("M", ["y", "d"])])]
+    for q in queries:
+        exchange_.answer(q)
+    target_before = exchange_.target
     exchange_.apply_delta(
         added=[("E", ("c", "e"))], removed=[("E", ("a", "b"))]
     )
     assert exchange_.update_stats.replays == 1
-    assert is_homomorphically_equivalent(
-        exchange_.target, exchange(setting, exchange_.source).instance
-    )
+    assert exchange_.target is target_before  # installed in place
+    assert exchange_.answer(sites).route == "cache"  # Site left unchanged
+    reference = exchange(setting, exchange_.source).instance
+    assert is_homomorphically_equivalent(exchange_.target, reference)
+    for q in queries:
+        assert exchange_.certain_answers(q) == certain_answers_naive(q, reference)
 
 
 def test_addition_path_extends_the_target_in_place():
-    # ROADMAP open item closed by this PR: the addition path used to chase a
-    # per-batch copy and rebind it behind `_version_base` offsets; now the
-    # seeded chase runs in place — same target object, raw version counters
-    # advancing only for the touched relations, no base offsets accrued.
+    # The seeded chase runs in place: same target object, raw version
+    # counters advancing only for the touched relations.
     deps = parse_dependencies(TGD_ONLY_DEPS)
     source = make_instance({"Emp": [("e0", "d0")]})
     exchange_ = register(cascade_mapping(), source, deps)
     target_before = exchange_.target
-    bases_before = dict(exchange_._version_base)
     roster_version = exchange_.target.version("Roster")
     exchange_.apply_delta(added=[("Emp", ("e1", "d0"))])  # d0 has a manager
     exchange_.apply_delta(added=[("Emp", ("e2", "d1"))])  # d1 cascades fresh
     assert exchange_.target is target_before  # no copy, no rebind
-    assert exchange_._version_base == bases_before  # no offset gymnastics
     assert exchange_.target.version("Roster") > roster_version
     setting = ExchangeSetting(cascade_mapping(), tuple(deps))
     assert is_homomorphically_equivalent(

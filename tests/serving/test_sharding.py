@@ -24,6 +24,7 @@ from repro.serving import (
     RoutingTable,
     ServingError,
     ShardedExchange,
+    analyse_shardability,
     compile_mapping,
 )
 from repro.serving.workers import WorkerGone
@@ -55,7 +56,7 @@ def test_single_atom_and_key_join_stds_are_local():
         source={"S": 2, "D": 2, "E": 2},
         target={"T": 2, "K": 2},
     )
-    plan = compile_mapping(mapping).shard_plan(PartitionSpec(3))
+    plan = analyse_shardability(compile_mapping(mapping), PartitionSpec(3))
     assert plan.local_stds == {0, 1}
     assert not plan.residual_sources
     assert dict(plan.target_keys) == {"T": (0,), "K": (0,)}
@@ -72,15 +73,15 @@ def test_non_cq_and_unaligned_bodies_go_residual_with_closure():
         source={"S": 2, "C": 2, "D": 2, "E": 2, "B": 2},
         target={"T": 2, "J": 2, "K": 2, "W": 2},
     )
-    plan = compile_mapping(mapping).shard_plan(PartitionSpec(3))
+    plan = analyse_shardability(compile_mapping(mapping), PartitionSpec(3))
     # The unaligned join routes S and C residual; the non-CQ body routes D
     # and B residual; and the key-join STD 2 reads D (now residual) and E —
     # a straddling body — so the closure drags E along.
     assert plan.residual_sources == {"S", "C", "D", "E", "B"}
     assert plan.fully_residual
     assert plan.local_stds == set()  # every STD now fires in the residual shard
-    assert any("non-CQ" in reason for reason in plan.reasons)
-    assert any("straddles" in reason for reason in plan.reasons)
+    kinds = {record.kind for record in plan.reason_records}
+    assert {"non-cq", "straddling-join"} <= kinds
 
 
 def test_key_aligned_dependencies_are_accepted():
@@ -89,7 +90,7 @@ def test_key_aligned_dependencies_are_accepted():
         ["T(x^cl, y^cl) :- S(x, y)"], source={"S": 2}, target={"T": 2}
     )
     deps = parse_dependencies(["T(x, y) & T(x, z) -> y = z"])
-    plan = compile_mapping(mapping, deps).shard_plan(PartitionSpec(4))
+    plan = analyse_shardability(compile_mapping(mapping, deps), PartitionSpec(4))
     assert not plan.residual_sources
     assert plan.local_stds == {0}
 
@@ -100,10 +101,10 @@ def test_unsafe_dependency_forces_relations_residual():
     )
     # Joins two T facts on the *non-key* position: may join across shards.
     deps = parse_dependencies(["T(x, y) & T(z, y) -> U(x, z)"])
-    plan = compile_mapping(mapping, deps).shard_plan(PartitionSpec(4))
+    plan = analyse_shardability(compile_mapping(mapping, deps), PartitionSpec(4))
     assert plan.residual_sources == {"S"}
     assert plan.fully_residual
-    assert any("join across the partition" in reason for reason in plan.reasons)
+    assert "unsafe-dependency" in {record.kind for record in plan.reason_records}
 
 
 def test_key_propagation_through_tgd_heads():
@@ -111,7 +112,7 @@ def test_key_propagation_through_tgd_heads():
     # position 1 of Audit; the analysis must track it there.
     workload = skewed_workload(customers=8, accounts=20, batches=0)
     compiled = compile_mapping(workload.mapping, workload.target_dependencies)
-    plan = compiled.shard_plan(PartitionSpec(4))
+    plan = analyse_shardability(compiled, PartitionSpec(4))
     keys = dict(plan.target_keys)
     assert keys["Flag"] == (0,)
     assert keys["Audit"] == (1,)
@@ -121,7 +122,7 @@ def test_key_propagation_through_tgd_heads():
 def test_scatter_safety_classification():
     workload = skewed_workload(customers=8, accounts=20, batches=0)
     compiled = compile_mapping(workload.mapping, workload.target_dependencies)
-    plan = compiled.shard_plan(PartitionSpec(4))
+    plan = analyse_shardability(compiled, PartitionSpec(4))
     safe = {q.name: plan.scatter_safe(q) for q in workload.queries}
     assert safe["accounts_c0"]  # single atom
     assert safe["accounts_with_region"]  # key-aligned join
@@ -139,7 +140,7 @@ def test_scatter_safety_classification():
 def test_constant_key_queries_pin_their_worker_shard():
     workload = skewed_workload(customers=8, accounts=40, batches=0)
     compiled = compile_mapping(workload.mapping, workload.target_dependencies)
-    plan = compiled.shard_plan(PartitionSpec(4))
+    plan = analyse_shardability(compiled, PartitionSpec(4))
     hot = next(q for q in workload.queries if q.name == "accounts_c0")
     routing = RoutingTable.initial(4)
     pinned = plan.scatter_shards(hot, routing)
@@ -191,7 +192,7 @@ def test_register_rejects_sharding_kwargs_without_shards():
 def test_force_residual_degenerates_the_whole_plan():
     workload = skewed_workload(customers=8, accounts=20, batches=0)
     compiled = compile_mapping(workload.mapping, workload.target_dependencies)
-    plan = compiled.shard_plan(PartitionSpec(4), force_residual=True)
+    plan = analyse_shardability(compiled, PartitionSpec(4), force_residual=True)
     assert plan.fully_residual
     assert plan.local_stds == set()
     # Every target relation is residual-produced, so every query is still

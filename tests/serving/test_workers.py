@@ -19,6 +19,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from repro.analysis.compiled import compile_mapping
 from repro.chase.dependencies import parse_dependencies
 from repro.core.mapping import mapping_from_rules
 from repro.logic.cq import cq
@@ -26,7 +27,6 @@ from repro.obs.flight import FLIGHT_RECORDER
 from repro.obs.metrics import METRICS
 from repro.relational.builders import make_instance
 from repro.serving.materialized import ServingError
-from repro.serving.registry import compile_mapping
 from repro.serving.service import ExchangeService
 from repro.serving.sharding import PartitionSpec, ShardedExchange
 from repro.serving.workers import ProcessShard

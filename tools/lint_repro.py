@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-invariant AST lint (no third-party deps; CI gate).
 
-Walks ``src/`` and enforces seven structural invariants that code review
+Walks ``src/`` and enforces eight structural invariants that code review
 kept re-litigating:
 
 * ``private-accessor`` — the raw index accessors ``Instance._tuples`` /
@@ -37,6 +37,17 @@ kept re-litigating:
   called only from ``ShardedExchange.apply_delta``: there it runs after
   the fan-out committed and under the service's write lock.  A restamp
   anywhere else could bless an entry that a reader is still filling.
+* ``layering`` — the packages of ``src/repro/`` form a DAG, kept as data in
+  ``LAYERS``: each package imports only the packages listed for it
+  (``relational`` nothing, ``logic`` relational, ``chase`` logic +
+  relational + obs, ``analysis`` chase + core + logic + relational,
+  ``serving`` everything but workloads, ``workloads`` anything, …).  Every
+  ``import``/``from … import`` counts, at any depth — function bodies and
+  ``if TYPE_CHECKING:`` blocks included — so a guarded import is no way
+  around it.  Only ``__main__.py`` CLIs and ``src/repro/__init__.py`` (the
+  quickstart re-export) are exempt.  It is checked statically because a
+  runtime check cannot see it: ``repro/__init__.py`` imports the serving
+  layer, so importing any submodule loads the whole stack.
 
 A finding can be waived on its line with ``# lint: allow(<rule>)`` — the
 waiver is part of the diff, so it shows up in review.
@@ -80,6 +91,24 @@ MERGED_VIEW_WRITERS = {
 CARRY_CALL = "_carry_slot_answers"
 # The (class, method) pair allowed to call the carry-forward.
 CARRY_CALLERS = {("ShardedExchange", "apply_delta")}
+
+PACKAGE_DIR = "src/repro/"
+# The package DAG: each package of src/repro/ and the packages it may import
+# (None = any; the workload generators drive every layer).
+LAYERS: dict[str, frozenset[str] | None] = {
+    "relational": frozenset(),
+    "logic": frozenset({"relational"}),
+    "algebra": frozenset({"logic", "relational"}),
+    "chase": frozenset({"logic", "relational", "obs"}),
+    "core": frozenset({"algebra", "chase", "logic", "relational"}),
+    "reductions": frozenset({"core", "logic", "relational"}),
+    "analysis": frozenset({"chase", "core", "logic", "relational"}),
+    "obs": frozenset(),
+    "serving": frozenset({"analysis", "chase", "core", "logic", "obs", "relational"}),
+    "workloads": None,
+}
+# Besides every __main__.py CLI: the quickstart re-export of the whole stack.
+LAYERING_EXEMPT = {"src/repro/__init__.py"}
 
 ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
@@ -196,6 +225,34 @@ def _carry_calls(tree: ast.AST) -> list[tuple[ast.AST, tuple[str, str]]]:
     return _owned(tree, select)
 
 
+def _package_of(rel: str) -> str | None:
+    """``<package>`` for ``src/repro/<package>/...``, else ``None``."""
+    if not rel.startswith(PACKAGE_DIR):
+        return None
+    parts = rel[len(PACKAGE_DIR):].split("/")
+    return parts[0] if len(parts) > 1 else None
+
+
+def _imported_packages(node: ast.AST, rel: str) -> list[str]:
+    """The ``repro`` packages one import statement reaches (``""`` = the
+    ``repro`` root itself); relative imports resolve against ``rel``."""
+    if isinstance(node, ast.Import):
+        modules = [alias.name.split(".") for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        module = node.module.split(".") if node.module else []
+        if node.level:
+            here = rel[len("src/"):-len(".py")].split("/")
+            module = here[: len(here) - node.level] + module
+        if module == ["repro"]:  # from repro import <package or name>, ...
+            return [alias.name if alias.name in LAYERS else "" for alias in node.names]
+        modules = [module]
+    else:
+        return []
+    return [
+        parts[1] if len(parts) > 1 else "" for parts in modules if parts[0] == "repro"
+    ]
+
+
 def _with_mutexes(node: ast.With, names: set[str]) -> bool:
     """Does the with statement acquire an attribute-named mutex from ``names``?"""
     for item in node.items:
@@ -228,9 +285,28 @@ def lint_file(path: Path) -> list[Finding]:
         PRIVATE_ACCESSOR_ALLOWED[1]
     )
     in_chase = rel.startswith(CHASE_DIR)
+    package = _package_of(rel)
+    layered = (
+        package is not None
+        and rel not in LAYERING_EXEMPT
+        and not rel.endswith("/__main__.py")
+    )
     sampler_spans = _sampler_spans(tree) if rel == MONITOR_FILE else None
 
     for node in ast.walk(tree):
+        if layered:
+            allowed = LAYERS.get(package, frozenset())
+            for target in _imported_packages(node, rel):
+                if target == package or allowed is None or target in allowed:
+                    continue
+                flag(
+                    node,
+                    "layering",
+                    f"repro.{package} imports "
+                    f"{'repro.' + target if target else 'the repro root'}; "
+                    f"it may import only {sorted(allowed) or 'nothing'} "
+                    "(the package DAG is LAYERS in tools/lint_repro.py)",
+                )
         if (
             not accessor_allowed
             and isinstance(node, ast.Attribute)
