@@ -520,18 +520,18 @@ def chase_incremental(
     given ``(relation, tuple)`` facts are queued (via
     :func:`repro.logic.cq.match_atoms_delta`).  This is sound only when the
     rest of the instance already satisfies all dependencies — the contract of
-    the serving layer's update path, where ``instance`` is a previously chased
-    materialization plus freshly added facts and ``seed_delta`` is exactly
-    those facts.
+    the caller, where ``instance`` is a previously chased instance plus
+    freshly added facts and ``seed_delta`` is exactly those facts.  (The
+    serving layer's update path extends its maintained target through
+    :func:`retract_incremental` with ``seed_delta`` instead — one repair
+    call whether or not the batch withdraws anything; it calls this
+    function only for from-scratch chases.)
 
-    ``in_place=True`` chases the given instance directly instead of a copy:
-    version counters advance only for genuinely touched relations (no
-    restart-at-zero rebind for the caller to compensate) and the per-batch
-    copy disappears from the hot path.  The caller owns failure handling: a
-    :class:`ChaseFailure` (or a blown step budget) leaves the instance — and
-    any provenance — partially chased, so only callers with a rollback path
-    (the serving layer rebuilds from its repaired canonical layer) should
-    pass it.
+    ``in_place=True`` chases the given instance directly instead of a copy,
+    so version counters advance only for genuinely touched relations.  The
+    caller owns failure handling: a :class:`ChaseFailure` (or a blown step
+    budget) leaves the instance — and any provenance — partially chased, so
+    only a caller with its own rollback path should pass it.
 
     ``provenance``, when given, records every applied step (and is kept
     consistent across egd substitutions), enabling later
@@ -613,7 +613,8 @@ def retract_incremental(
     via :meth:`ChaseProvenance.add_base`) are propagated by the same worklist
     drain that re-derives the survivors of the deletion — one trigger
     propagation phase instead of a retraction pass followed by a separate
-    addition chase.  The base registrations must happen *before* this call:
+    addition chase (with nothing withdrawn, the call is a delta-seeded
+    in-place extension of the chase).  The base registrations must happen *before* this call:
     an added fact that coincides with a fact in the downward closure of the
     withdrawal then survives over-deletion through its open registration,
     which is exactly the semantics of a batch that retracts one justification

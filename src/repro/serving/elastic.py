@@ -26,6 +26,10 @@ live:
   off the hottest worker onto the coldest, driven by the live per-bucket
   loads plus the :class:`~repro.serving.sharding.ShardingStats` hot-shard
   signal, until the projected imbalance drops under the threshold.
+* :func:`plan_reshard` — the one reshard plan: the policy's moves or an
+  explicit plan validated against the live table, with the imbalance
+  before and after (``_imbalance``, the one formula ``ShardingStats``
+  reports too).
 * :class:`TopKCounter` — the bounded (space-saving) per-shard partition-key
   histogram ``ShardingStats`` exports: the rebalancer's capacity-debugging
   companion signal.
@@ -34,8 +38,8 @@ The reshard *mechanics* (shadow shards, inverse-delta-protected movement,
 the O(1) publish window) live on
 :class:`~repro.serving.sharding.ShardedExchange` — see
 ``prepare_reshard``/``commit_reshard``/``abort_reshard`` there; this module
-deliberately holds only policy and the epoch-versioned state, so it imports
-nothing from the sharded data plane.
+deliberately holds only the plan, the policy and the epoch-versioned state,
+so it imports nothing from the sharded data plane.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ import threading
 import zlib
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
+
+from repro.serving.materialized import ServingError
 
 __all__ = [
     "DEFAULT_BUCKETS_PER_WORKER",
@@ -182,6 +188,12 @@ class ReshardMove:
     bucket: int
     donor: int
     recipient: int
+
+
+class StaleReshard(ServingError):
+    """A prepared reshard whose exchange committed a batch since the
+    prepare: publishing its shadows would lose that batch, so the commit
+    discarded them and the caller re-plans against the new state."""
 
 
 @dataclass
@@ -364,16 +376,6 @@ class Rebalancer:
     threshold: float = 1.15
     max_moves: int = 32
 
-    def propose(self, exchange: Any) -> tuple[ReshardMove, ...]:
-        """A move plan for one sharded exchange (possibly empty).
-
-        ``exchange`` duck-types ``routing_snapshot()`` + ``bucket_loads()``
-        — :class:`~repro.serving.sharding.ShardedExchange` in practice.
-        """
-        table = exchange.routing_snapshot()
-        loads = dict(exchange.bucket_loads())
-        return self.plan_moves(table, loads)
-
     def plan_moves(
         self, table: RoutingTable, loads: Mapping[int, int]
     ) -> tuple[ReshardMove, ...]:
@@ -410,3 +412,60 @@ class Rebalancer:
             worker_loads[hot] -= loads[pick]
             worker_loads[cold] += loads[pick]
         return tuple(moves)
+
+
+def plan_reshard(
+    table: RoutingTable,
+    loads: Mapping[int, int],
+    moves: Iterable[ReshardMove | tuple[int, int]] | None = None,
+) -> tuple[tuple[ReshardMove, ...], float, float]:
+    """The reshard plan for ``table``: ``(moves, imbalance before, projected)``.
+
+    With ``moves`` omitted the :class:`Rebalancer` policy proposes them from
+    the per-bucket ``loads`` (possibly none).  Explicit moves are
+    :class:`ReshardMove` records or bare ``(bucket, recipient)`` pairs,
+    validated against ``table``: a move whose claimed donor disagrees with
+    the table is a stale plan (computed under an older epoch) and is
+    rejected rather than silently rerouted; no-op moves (the recipient
+    already owns the bucket) drop out, and an entirely empty plan raises
+    :class:`ServingError`.  Both imbalances are ``_imbalance`` of the
+    per-worker loads, before and after the moves.
+    """
+    if moves is None:
+        plan = Rebalancer().plan_moves(table, loads)
+    else:
+        checked: list[ReshardMove] = []
+        seen: set[int] = set()
+        for move in moves:
+            if isinstance(move, ReshardMove):
+                bucket, recipient, claimed = move.bucket, move.recipient, move.donor
+            else:
+                bucket, recipient = move
+                claimed = None
+            if not 0 <= bucket < table.buckets:
+                raise ServingError(
+                    f"bucket {bucket} out of range (table has {table.buckets})"
+                )
+            if not 0 <= recipient < table.workers:
+                raise ServingError(
+                    f"recipient {recipient} out of range ({table.workers} workers)"
+                )
+            donor = table.worker_of_bucket(bucket)
+            if claimed is not None and claimed != donor:
+                raise ServingError(
+                    f"bucket {bucket} is owned by worker {donor}, not "
+                    f"{claimed} — stale plan (routing epoch {table.epoch})"
+                )
+            if bucket in seen:
+                raise ServingError(f"bucket {bucket} moved twice in one plan")
+            seen.add(bucket)
+            if donor != recipient:
+                checked.append(ReshardMove(bucket, donor, recipient))
+        if not checked:
+            raise ServingError("a reshard needs at least one effective bucket move")
+        plan = tuple(checked)
+    before = _imbalance(project_worker_loads(loads, table))
+    if not plan:
+        return plan, before, before
+    after = table.reassign({move.bucket: move.recipient for move in plan})
+    return plan, before, _imbalance(project_worker_loads(loads, after))

@@ -37,9 +37,9 @@ additions and retractions and paying each maintenance phase **once**:
    is staged into the chased target and a single
    :func:`~repro.chase.incremental.retract_incremental` call repairs it in
    place: DRed over-delete + one worklist drain that both re-derives
-   survivors and propagates the additions (a pure-addition batch takes the
-   in-place delta-seeded :func:`~repro.chase.incremental.chase_incremental`
-   instead; only an egd-entangled retraction falls back to a full re-chase);
+   survivors and propagates the additions (a pure-addition batch is the
+   same call with nothing withdrawn; only an egd-entangled retraction falls
+   back to a full re-chase);
 3. one *cache-invalidation round* — version counters advance once per touched
    relation, so a query goes stale at most once per batch however mixed it
    was.
@@ -883,15 +883,15 @@ class MaterializedExchange(ExchangeFront):
         """Repair the chased target for one canonical-layer delta — one pass.
 
         Called exactly once per applied batch; counts as the batch's single
-        target repair and single cache-invalidation round.  Mixed deltas take
-        the *combined* path: the additions are staged into the target (base
+        target repair and single cache-invalidation round.  Every non-empty
+        delta takes one path: the additions are staged into the target (base
         registrations first), and one :func:`retract_incremental` call both
-        over-deletes/re-derives the withdrawal and propagates the additions
-        through the same worklist drain.  Pure additions take the in-place
-        delta-seeded chase (no per-batch copy — the rollback path is the
-        failure net).  In every outcome, the replay's install included, the
-        raw version counters advance for exactly the touched relations,
-        keeping cache entries over untouched relations warm.
+        over-deletes/re-derives the withdrawal (if any) and propagates the
+        additions through the same worklist drain, in place — no per-batch
+        copy; the rollback path is the failure net.  In every outcome, the
+        replay's install included, the raw version counters advance for
+        exactly the touched relations, keeping cache entries over untouched
+        relations warm.
 
         Returns the target facts the repair touched as ``(added, removed)``
         — the one record the core repair and
@@ -904,84 +904,53 @@ class MaterializedExchange(ExchangeFront):
         if not self.compiled.target_dependencies:
             # The target *is* the canonical layer, already repaired in place.
             return added, removed
-        if removed:
-            # Stage the additions before the combined repair: a staged fact in
-            # the downward closure of the withdrawal survives over-deletion
-            # through its fresh base registration (the batch retracted one
-            # justification while adding another).
-            if added:
-                self._provenance.add_base(added)
-                for fact in added:
-                    self._target.add(*fact)
-            try:
-                retraction = retract_incremental(
-                    self._target,
-                    self.compiled.target_dependencies,
-                    removed,
-                    self._provenance,
-                    max_steps=self.max_chase_steps,
-                    seed_delta=added or None,
-                )
-            except ChaseFailure as failure:
-                # Impossible for a pure retraction (a shrunken base keeps
-                # every solution of the old one) but a real outcome for a
-                # combined batch whose additions violate an egd; the caller
-                # rolls back and rebuilds.
-                raise ServingError(
-                    f"scenario {self.name!r} has no solution: {failure}"
-                ) from failure
-            if retraction.replay_required:
-                # A withdrawn fact supported an egd merge whose substitution
-                # cannot be unwound: replay from the repaired canonical layer
-                # (which already reflects `added`; the facts staged above are
-                # reconciled by the install, and the replay rebuilds the
-                # provenance from scratch).
-                self.update_stats.replays += 1
-                FLIGHT_RECORDER.record(
-                    "egd_replay", scenario=self.name, removed=len(removed)
-                )
-                with TRACER.span("exchange.egd_replay", scenario=self.name):
-                    self._install_target(self._full_chase(self._canonical))
-                return None
-            if not retraction.terminated:
-                raise ServingError(
-                    f"target chase of scenario {self.name!r} did not terminate"
-                )
-            # The target was repaired in place: raw version counters advanced
-            # for exactly the touched relations.
-            if any(step.kind == "egd" for step in retraction.steps):
-                return None
-            return added + retraction.added, retraction.removed
-        if not added:
+        if not added and not removed:
             return [], []
-        # Pure addition: extend the chase in place, seeded from the delta —
-        # no per-batch target copy; a failure leaves the target partially
-        # chased, which the caller's rollback repairs from the canonical layer.
+        # Stage the additions before the repair: a staged fact in the
+        # downward closure of the withdrawal survives over-deletion through
+        # its fresh base registration (the batch retracted one justification
+        # while adding another).
         self._provenance.add_base(added)
         for fact in added:
             self._target.add(*fact)
         try:
-            result = chase_incremental(
+            repair = retract_incremental(
                 self._target,
                 self.compiled.target_dependencies,
+                removed,
+                self._provenance,
                 max_steps=self.max_chase_steps,
                 seed_delta=added,
-                provenance=self._provenance,
-                in_place=True,
             )
         except ChaseFailure as failure:
+            # Impossible for a pure retraction (a shrunken base keeps every
+            # solution of the old one) but a real outcome for a batch whose
+            # additions violate an egd; the target is left partially
+            # repaired, and the caller rolls back and rebuilds.
             raise ServingError(
                 f"scenario {self.name!r} has no solution: {failure}"
             ) from failure
-        if not result.terminated:
-            raise ServingError(f"target chase of scenario {self.name!r} did not terminate")
-        if any(step.kind == "egd" for step in result.steps):
-            # Substitutions rewrote facts in relations the delta did not
-            # record; the in-place substitution bumped exactly the rewritten
-            # relations' counters, so only their cache entries go stale — but
-            # the core must be rebuilt.
+        if repair.replay_required:
+            # A withdrawn fact supported an egd merge whose substitution
+            # cannot be unwound: replay from the repaired canonical layer
+            # (which already reflects `added`; the facts staged above are
+            # reconciled by the install, and the replay rebuilds the
+            # provenance from scratch).
+            self.update_stats.replays += 1
+            FLIGHT_RECORDER.record(
+                "egd_replay", scenario=self.name, removed=len(removed)
+            )
+            with TRACER.span("exchange.egd_replay", scenario=self.name):
+                self._install_target(self._full_chase(self._canonical))
             return None
-        return added + [fact for step in result.steps for fact in step.added], []
+        if not repair.terminated:
+            raise ServingError(f"target chase of scenario {self.name!r} did not terminate")
+        if any(step.kind == "egd" for step in repair.steps):
+            # Substitutions rewrote facts the delta did not record; the
+            # in-place substitution bumped exactly the rewritten relations'
+            # counters, but the core must be rebuilt.
+            return None
+        return added + repair.added, repair.removed
 
     # -- query serving -----------------------------------------------------
 

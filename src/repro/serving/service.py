@@ -43,6 +43,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -76,9 +77,9 @@ from repro.serving.concurrency import LockStats, ReadWriteLock
 from repro.serving.elastic import (
     EpochClock,
     RebalanceReport,
-    Rebalancer,
     ReshardMove,
-    project_worker_loads,
+    StaleReshard,
+    plan_reshard,
 )
 from repro.serving.materialized import (
     AppliedDelta,
@@ -297,45 +298,12 @@ class Transaction:
             raise RuntimeError("this transaction has already been committed or aborted")
         self._closed = True
         names = sorted(name for name in self._scenarios if self._buffer[name])
-        # The lock-ordering rule: every multi-scenario commit acquires write
-        # locks in sorted name order, so two transactions can never hold
-        # locks in opposite orders.  Acquisition happens inside the
-        # try/finally (an async exception mid-acquisition must release the
-        # locks already taken), and a lock that went stale while we waited —
-        # its scenario deregistered or re-registered concurrently — restarts
-        # the acquisition against the current lock table.
-        acquired: list[ReadWriteLock] = []
-        lock_waits: dict[str, float] = {}
-        try:
-            while True:
-                locks = [self._service._lock(name) for name in names]
-                for name, lock in zip(names, locks):
-                    waited_from = time.perf_counter()
-                    lock.acquire_write()
-                    lock_waits[name] = (
-                        lock_waits.get(name, 0.0) + time.perf_counter() - waited_from
-                    )
-                    acquired.append(lock)
-                if all(
-                    self._service._locks.get(name) is lock
-                    for name, lock in zip(names, locks)
-                ):
-                    break
-                while acquired:
-                    acquired.pop().release_write()
-
-            # Two-phase global epoch publish: the token is issued once the
-            # write locks are held, settled exactly once on the way out —
-            # commit on success, abort on any failure (rollback included) —
-            # so the service watermark only ever covers fully settled
-            # publishes.  The finally also settles async-exception flights
-            # (a KeyboardInterrupt mid-commit must not stall the watermark).
-            token = self._service._epoch.begin_publish()
-            published = False
+        service = self._service
+        with service._write_locked(names) as lock_waits, service._publishing() as token:
             committed: list[tuple[str, AppliedDelta]] = []
             try:
                 for name in names:
-                    exchange = self._service._registry.get(name)
+                    exchange = service._registry.get(name)
                     buffer = self._buffer[name]
                     start = time.perf_counter()
                     before = replace(exchange.update_stats)
@@ -360,11 +328,10 @@ class Transaction:
                         invalidation_rounds=after.invalidation_rounds
                         - before.invalidation_rounds,
                         elapsed_seconds=elapsed,
-                        lock_wait_seconds=lock_waits.get(name, 0.0),
+                        lock_wait_seconds=lock_waits[name],
                         evaluate_seconds=elapsed,
                         epoch=token,
                     )
-                published = True
             except Exception as failure:
                 self.results.clear()
                 FLIGHT_RECORDER.record(
@@ -377,7 +344,7 @@ class Transaction:
                     if not applied:
                         continue
                     try:
-                        self._service._registry.get(name).apply_delta(
+                        service._registry.get(name).apply_delta(
                             added=applied.removed, removed=applied.added
                         )
                     except Exception:  # pragma: no cover - inverse deltas
@@ -387,14 +354,6 @@ class Transaction:
                         # rollback error rides along as its __context__).
                         continue
                 raise
-            finally:
-                if published:
-                    self._service._epoch.commit_publish(token)
-                else:
-                    self._service._epoch.abort_publish(token)
-        finally:
-            while acquired:
-                acquired.pop().release_write()
         return self.results
 
     def abort(self) -> None:
@@ -580,6 +539,56 @@ class ExchangeService:
             if self._locks.get(name) is lock:
                 return lock, self._registry.get(name)
             lock.release_read()
+
+    @contextmanager
+    def _write_locked(self, names: Iterable[str]) -> Iterator[dict[str, float]]:
+        """Hold the write locks of ``names``; yields the wait per name.
+
+        The lock-ordering rule: every committing write acquires its write
+        locks in sorted name order, so two writers can never hold locks in
+        opposite orders.  Acquisition happens inside the try/finally (an
+        async exception mid-acquisition must release the locks already
+        taken), and a lock that went stale while we waited — its scenario
+        deregistered or re-registered concurrently — restarts the
+        acquisition against the current lock table.
+        """
+        names = sorted(names)
+        acquired: list[ReadWriteLock] = []
+        waits = dict.fromkeys(names, 0.0)
+        try:
+            while True:
+                locks = [self._lock(name) for name in names]
+                for name, lock in zip(names, locks):
+                    waited_from = time.perf_counter()
+                    lock.acquire_write()
+                    waits[name] += time.perf_counter() - waited_from
+                    acquired.append(lock)
+                if all(self._locks.get(n) is lock for n, lock in zip(names, locks)):
+                    break
+                while acquired:
+                    acquired.pop().release_write()
+            yield waits
+        finally:
+            while acquired:
+                acquired.pop().release_write()
+
+    @contextmanager
+    def _publishing(self) -> Iterator[int]:
+        """One two-phase publish on the service epoch; yields its token.
+
+        Entered once the write locks are held; the token is settled exactly
+        once on the way out — committed when the block succeeds, aborted on
+        any exception (rollbacks and async exceptions included: a
+        KeyboardInterrupt mid-commit must not stall the watermark) — so the
+        watermark only ever covers fully settled publishes.
+        """
+        token = self._epoch.begin_publish()
+        try:
+            yield token
+        except BaseException:
+            self._epoch.abort_publish(token)
+            raise
+        self._epoch.commit_publish(token)
 
     # -- queries -----------------------------------------------------------
 
@@ -808,7 +817,6 @@ class ExchangeService:
         self,
         name: str,
         moves: Iterable[ReshardMove | tuple[int, int]] | None = None,
-        rebalancer: Rebalancer | None = None,
         dry_run: bool = False,
         max_attempts: int = 3,
         wait: bool = True,
@@ -816,10 +824,10 @@ class ExchangeService:
     ) -> RebalanceReport:
         """Plan — and unless ``dry_run`` — apply one live reshard of ``name``.
 
-        With ``moves`` omitted, the :class:`Rebalancer` policy proposes the
-        plan from the live per-bucket loads (pass a configured one to tune
-        the threshold); explicit ``moves`` are validated against the live
-        routing table instead.
+        The plan is :func:`~repro.serving.elastic.plan_reshard` over the
+        live routing table and per-bucket loads: with ``moves`` omitted the
+        default :class:`~repro.serving.elastic.Rebalancer` policy proposes
+        it; explicit ``moves`` are validated against the live table instead.
 
         The lock choreography keeps readers flowing through the expensive
         part: the plan and the shadow-shard build (phase one) run under the
@@ -830,7 +838,9 @@ class ExchangeService:
         discards the shadows and the whole cycle retries (at most
         ``max_attempts`` times) against the new state.  Every publish runs
         through the service's two-phase :class:`EpochClock`, so queries
-        report a watermark covering it only once fully settled.
+        report a watermark covering it only once fully settled.  A scenario
+        replaced or deregistered between the phases gets its shadows closed
+        and no publish.
 
         One rebalance per scenario at a time: a per-scenario guard
         serialises concurrent callers.  ``wait=False`` (the monitor's
@@ -846,9 +856,7 @@ class ExchangeService:
                 f"rebalance of {name!r} already in flight"
             )
         try:
-            return self._rebalance_locked(
-                name, moves, rebalancer, dry_run, max_attempts, trigger
-            )
+            return self._rebalance_locked(name, moves, dry_run, max_attempts, trigger)
         finally:
             guard.release()
 
@@ -863,39 +871,23 @@ class ExchangeService:
         self,
         name: str,
         moves: Iterable[ReshardMove | tuple[int, int]] | None,
-        rebalancer: Rebalancer | None,
         dry_run: bool,
         max_attempts: int,
         trigger: str,
     ) -> RebalanceReport:
-        policy = rebalancer if rebalancer is not None else Rebalancer()
         attempts = 0
         while True:
             attempts += 1
             lock, exchange = self._read_locked_exchange(name)
-            pending = None
             try:
                 if not isinstance(exchange, ShardedExchange):
                     raise ServingError(
                         f"scenario {name!r} is not sharded; nothing to rebalance"
                     )
                 routing = exchange.routing_snapshot()
-                loads = exchange.bucket_loads()
-                worker_loads = project_worker_loads(loads, routing)
-                mean = sum(worker_loads) / len(worker_loads) if worker_loads else 0.0
-                imbalance_before = (max(worker_loads) / mean) if mean else 0.0
-                if moves is None:
-                    plan = policy.plan_moves(routing, loads)
-                else:
-                    plan = exchange._normalise_moves(moves, routing)
-                if plan:
-                    projected = project_worker_loads(
-                        loads,
-                        routing.reassign({m.bucket: m.recipient for m in plan}),
-                    )
-                    imbalance_projected = (max(projected) / mean) if mean else 0.0
-                else:
-                    imbalance_projected = imbalance_before
+                plan, imbalance_before, imbalance_projected = plan_reshard(
+                    routing, exchange.bucket_loads(), moves
+                )
                 report = RebalanceReport(
                     scenario=name,
                     moves=plan,
@@ -911,51 +903,32 @@ class ExchangeService:
             finally:
                 lock.release_read()
 
-            # Upgrade to the write lock (same stale-lock revalidation the
-            # transaction commit uses), then publish.
-            while True:
-                write_lock = self._lock(name)
-                write_lock.acquire_write()
-                if self._locks.get(name) is write_lock:
-                    break
-                write_lock.release_write()
-            token = self._epoch.begin_publish()
-            published = False
-            retry = False
             try:
-                if name not in self._registry or self._registry.get(name) is not exchange:
-                    exchange.abort_reshard(
-                        pending, reason="scenario replaced mid-rebalance"
-                    )
-                    raise ServingError(
-                        f"scenario {name!r} was replaced during the rebalance"
-                    )
-                try:
-                    exchange.commit_reshard(pending)
-                    published = True
-                except ServingError:
-                    # A writer committed between the phases; the commit
-                    # already discarded the shadows.  Retry from scratch.
-                    if attempts >= max_attempts:
-                        raise
-                    retry = True
-            finally:
-                if published:
-                    self._epoch.commit_publish(token)
-                else:
-                    self._epoch.abort_publish(token)
-                write_lock.release_write()
-            if retry:
+                with self._write_locked((name,)):
+                    if self._registry.get(name) is exchange:
+                        with self._publishing():
+                            exchange.commit_reshard(pending)
+                        return replace(
+                            report,
+                            applied=True,
+                            epoch_after=pending.table.epoch,
+                            moved_facts=pending.moved_facts,
+                            moved_keys=pending.moved_keys,
+                            prepare_seconds=pending.prepare_seconds,
+                            publish_seconds=pending.publish_seconds,
+                        )
+            except StaleReshard:
+                # A writer committed between the phases; the commit already
+                # discarded the shadows.  Retry from scratch.
+                if attempts >= max_attempts:
+                    raise
                 continue
-            return replace(
-                report,
-                applied=True,
-                epoch_after=pending.table.epoch,
-                moved_facts=pending.moved_facts,
-                moved_keys=pending.moved_keys,
-                prepare_seconds=pending.prepare_seconds,
-                publish_seconds=pending.publish_seconds,
-            )
+            except KeyError:
+                pass  # deregistered between the phases: no lock to take
+            # Replaced or deregistered between the phases: the shadows were
+            # built from an exchange nobody serves any more.
+            exchange.abort_reshard(pending, reason="scenario replaced mid-rebalance")
+            raise ServingError(f"scenario {name!r} was replaced during the rebalance")
 
     # -- monitoring --------------------------------------------------------
 

@@ -125,7 +125,10 @@ from repro.serving.elastic import (
     PendingReshard,
     ReshardMove,
     RoutingTable,
+    StaleReshard,
     TopKCounter,
+    _imbalance,
+    plan_reshard,
 )
 from repro.serving.materialized import (
     AnswerOutcome,
@@ -133,7 +136,6 @@ from repro.serving.materialized import (
     ExchangeFront,
     Fact,
     MaterializedExchange,
-    ServingError,
     TouchedFacts,
     normalise_delta,
 )
@@ -606,15 +608,6 @@ class ShardedExchange(ExchangeFront):
         return sum(shard.target_size for shard in self.shards)
 
     @property
-    def canonical(self) -> Instance:
-        """The union of the shard canonical layers (built fresh per call)."""
-        merged = Instance(schema=self.compiled.mapping.target)
-        for index in range(len(self.shards)):
-            for fact in self._on_shard(index, lambda shard: shard.canonical).facts():
-                merged.add(*fact)
-        return merged
-
-    @property
     def core_size(self) -> Optional[int]:
         """Summed shard core sizes, or ``None`` while any non-empty shard
         has not computed its core yet (introspection only, like the
@@ -642,8 +635,6 @@ class ShardedExchange(ExchangeFront):
                 self._slot_answers_carried,
             )
         routing = self._router.snapshot()
-        worker_sizes = [len(shard.source) for shard in self.workers]
-        mean = sum(worker_sizes) / len(worker_sizes) if worker_sizes else 0.0
         return ShardingStats(
             epoch=self._epoch,
             shards=len(self.shards),
@@ -656,7 +647,7 @@ class ShardedExchange(ExchangeFront):
             scatter_queries=scatter,
             merged_queries=merged,
             fanout_applies=fanout,
-            imbalance=(max(worker_sizes) / mean) if mean else 0.0,
+            imbalance=_imbalance(len(shard.source) for shard in self.workers),
             worker_mode=self._worker_mode,
             worker_failures=failures,
             routing_epoch=routing.epoch,
@@ -897,52 +888,6 @@ class ShardedExchange(ExchangeFront):
 
     # -- live reshard (elastic bucket handoff) -----------------------------
 
-    def _normalise_moves(
-        self,
-        moves: Iterable[ReshardMove | tuple[int, int]],
-        routing: RoutingTable,
-    ) -> tuple[ReshardMove, ...]:
-        """Validate a move plan against ``routing`` and fill in the donors.
-
-        Accepts :class:`ReshardMove` records or bare ``(bucket, recipient)``
-        pairs; a move whose claimed donor disagrees with the live table is a
-        stale plan (computed under an older epoch) and is rejected rather
-        than silently rerouted.  No-op moves (recipient already owns the
-        bucket) drop out; an entirely empty plan raises.
-        """
-        workers = self.plan.spec.shards
-        plan: list[ReshardMove] = []
-        seen: set[int] = set()
-        for move in moves:
-            if isinstance(move, ReshardMove):
-                bucket, recipient, claimed = move.bucket, move.recipient, move.donor
-            else:
-                bucket, recipient = move
-                claimed = None
-            if not 0 <= bucket < routing.buckets:
-                raise ServingError(
-                    f"bucket {bucket} out of range (table has {routing.buckets})"
-                )
-            if not 0 <= recipient < workers:
-                raise ServingError(
-                    f"recipient {recipient} out of range ({workers} workers)"
-                )
-            donor = routing.worker_of_bucket(bucket)
-            if claimed is not None and claimed != donor:
-                raise ServingError(
-                    f"bucket {bucket} is owned by worker {donor}, not "
-                    f"{claimed} — stale plan (routing epoch {routing.epoch})"
-                )
-            if bucket in seen:
-                raise ServingError(f"bucket {bucket} moved twice in one plan")
-            seen.add(bucket)
-            if donor == recipient:
-                continue
-            plan.append(ReshardMove(bucket=bucket, donor=donor, recipient=recipient))
-        if not plan:
-            raise ServingError("a reshard needs at least one effective bucket move")
-        return tuple(plan)
-
     def prepare_reshard(
         self, moves: Iterable[ReshardMove | tuple[int, int]]
     ) -> PendingReshard:
@@ -959,14 +904,16 @@ class ShardedExchange(ExchangeFront):
         that replacement) discards the shadows and leaves the exchange
         exactly as it was.
 
-        Requires writers to be excluded (the service holds the scenario
-        read lock, which its writer-preferring lock guarantees); concurrent
-        readers are fine.  Returns the :class:`PendingReshard` that
+        The moves are validated by :func:`~repro.serving.elastic.plan_reshard`
+        (no bucket loads: validation needs none).  Requires writers to be
+        excluded (the service holds the scenario read lock, which its
+        writer-preferring lock guarantees); concurrent readers are fine.
+        Returns the :class:`PendingReshard` that
         :meth:`commit_reshard` publishes or :meth:`abort_reshard` discards.
         """
         begin = time.perf_counter()
         routing = self._router.snapshot()
-        plan = self._normalise_moves(moves, routing)
+        plan, _, _ = plan_reshard(routing, {}, moves)
         batch_epoch = self._epoch
 
         # One scan per donor: keep the facts whose key lands in a moving
@@ -1041,8 +988,9 @@ class ShardedExchange(ExchangeFront):
         a tuple swap, one table publish, the cache drop.  If a batch
         committed since the prepare (``batch_epoch`` mismatch) the shadows
         would publish a lost update, so the commit aborts itself and
-        raises ``ServingError`` — the caller re-prepares against the new
-        state.  Fills in ``pending.publish_seconds`` and returns it.
+        raises :class:`~repro.serving.elastic.StaleReshard` — the caller
+        re-prepares against the new state.  Fills in
+        ``pending.publish_seconds`` and returns it.
         """
         begin = time.perf_counter()
         if pending.batch_epoch != self._epoch:
@@ -1051,7 +999,7 @@ class ShardedExchange(ExchangeFront):
                 f"exchange now at {self._epoch}"
             )
             self.abort_reshard(pending, reason=reason)
-            raise ServingError(f"stale reshard: {reason}; re-prepare and retry")
+            raise StaleReshard(f"stale reshard: {reason}; re-prepare and retry")
         self._swap_shards(pending.shadows)
         self._router.publish(pending.table)
         with self._counter_mutex:

@@ -300,9 +300,7 @@ def _worker_main(conn, index: int) -> None:
                         spans,
                     )
                 elif kind == "facts":
-                    _, layer = message
-                    instance = exchange.canonical if layer == "canonical" else exchange.target
-                    reply_ok(_encode_facts(instance.facts(), interner))
+                    reply_ok(_encode_facts(exchange.target.facts(), interner))
                 else:  # pragma: no cover - protocol mismatch guard
                     conn.send(
                         ("fatal", f"unknown message kind {kind!r}", None, None, None)
@@ -337,7 +335,7 @@ class ProcessShard:
     raises :class:`WorkerGone` or :class:`ServingError`.  It duck-types the
     slice of the :class:`MaterializedExchange` surface the sharded exchange
     uses — ``apply_delta``/``split_touched``/``answer``/``update_stats``/
-    ``source``/``target``/``canonical``/``target_size``/
+    ``source``/``target``/``target_size``/
     ``target_relation_size``/``core_size``/``_target_versions``/``close`` — so
     :class:`~repro.serving.sharding.ShardedExchange` treats thread- and
     process-backed shards identically.
@@ -528,21 +526,17 @@ class ProcessShard:
         known = self._versions
         return tuple((name, known.get(name, 0)) for name in sorted(set(relations)))
 
-    def _fetch_layers(self, layer: str) -> Instance:
-        """One decoded layer, ``"canonical"`` or ``"target"``, fetched per call
-        (the sharded front keeps its own merged view; nothing caches here)."""
+    def _fetch_layers(self) -> Instance:
+        """The decoded shard target, fetched per call (the sharded front
+        keeps its own merged view; nothing caches here)."""
         instance = Instance(schema=self.compiled.mapping.target)
-        for fact in _decode_facts(*self._request(("facts", layer)), self._interner):
+        for fact in _decode_facts(*self._request(("facts",)), self._interner):
             instance.add(*fact)
         return instance
 
     @property
-    def canonical(self) -> Instance:
-        return self._fetch_layers("canonical")
-
-    @property
     def target(self) -> Instance:
-        return self._fetch_layers("target")
+        return self._fetch_layers()
 
     def kill_worker(self) -> None:
         """Hard-kill the worker process (failure drills and demos).

@@ -212,6 +212,35 @@ def test_slot_answer_carry_flagged_outside_apply_delta(lint):
     assert "ShardedExchange._evaluate" in finding.message
 
 
+def test_epoch_publish_flagged_outside_the_publish_helper(lint):
+    module, root = lint
+    bad = write(
+        root,
+        "src/repro/serving/service.py",
+        """
+        class ExchangeService:
+            def _publishing(self):
+                token = self._epoch.begin_publish()
+                try:
+                    yield token
+                except BaseException:
+                    self._epoch.abort_publish(token)
+                    raise
+                self._epoch.commit_publish(token)
+
+            def rebalance(self):
+                token = self._epoch.begin_publish()  # a hand-rolled publish
+                self._epoch.commit_publish(token)
+        """,
+    )
+    findings = module.lint_file(bad)
+    assert [(f.rule, f.line) for f in findings] == [
+        ("epoch-publish", 13),
+        ("epoch-publish", 14),
+    ]
+    assert ".begin_publish() called in ExchangeService.rebalance" in findings[0].message
+
+
 def test_monitor_clock_flagged_outside_the_sampler(lint):
     module, root = lint
     bad = write(

@@ -11,6 +11,8 @@ serving, and the ``service.rebalance`` lock choreography.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.obs.flight import FLIGHT_RECORDER
@@ -443,6 +445,77 @@ def test_rebalance_dry_run_plans_without_touching_routing():
     assert report.epoch_after is None
     assert exchange.routing_snapshot().epoch == 0
     assert exchange.sharding_stats().reshards == 0
+    service.deregister("el")
+
+
+def test_rebalance_plan_and_sharding_stats_share_one_imbalance_formula():
+    workload = elastic_workload(accounts=150, batches=0)
+    service, _ = _register_pair(workload)
+    report = service.rebalance("el", dry_run=True)
+    assert report.imbalance_before > 1.0  # the workload is skewed
+    assert report.imbalance_before == service.stats("el").sharding.imbalance
+    service.deregister("el")
+
+
+@pytest.mark.parametrize("reregister", [True, False], ids=["replaced", "deregistered"])
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_a_scenario_replaced_mid_rebalance_gets_its_shadows_closed_and_no_publish(
+    mode, reregister
+):
+    """Deregister (and re-register) the scenario between the prepare and the
+    publish: the rebalance must refuse, close the shadows it built, settle
+    no epoch, and leave a new scenario at routing epoch 0."""
+    workload = elastic_workload(customers=24, accounts=80, batches=0, workers=2)
+    shard_workers = "process" if mode == "process" else None
+    service, _ = _register_pair(workload, shards=2, shard_workers=shard_workers)
+    old = service.scenario("el")
+    children = len(multiprocessing.active_children())
+    epoch = service.stats().epoch
+    prepared = []
+    prepare = old.prepare_reshard
+
+    def recording_prepare(moves):
+        pending = prepare(moves)
+        prepared.append((pending, list(pending.shadows.values())))
+        return pending
+
+    write_locked = service._write_locked
+
+    def replace_then_lock(names):
+        service.deregister("el")
+        if reregister:
+            service.register(
+                "el",
+                workload.mapping,
+                workload.source,
+                workload.target_dependencies,
+                shards=2,
+                shard_workers=shard_workers,
+            )
+        return write_locked(names)
+
+    old.prepare_reshard = recording_prepare
+    service._write_locked = replace_then_lock
+    try:
+        with pytest.raises(ServingError, match="replaced during the rebalance"):
+            service.rebalance("el")
+    finally:
+        del service._write_locked
+    [(pending, shadows)] = prepared
+    assert shadows and not pending.shadows
+    if mode == "process":
+        assert all(shadow._proc is None for shadow in shadows)
+    # Deregistering without a replacement reaps the old exchange's workers.
+    gone = 0 if reregister or mode == "thread" else len(old.shards)
+    assert len(multiprocessing.active_children()) == children - gone
+    assert service.stats().epoch == epoch
+    abort = FLIGHT_RECORDER.events("reshard_abort", scenario="el")[-1]
+    assert abort.detail["error"] == "scenario replaced mid-rebalance"
+    if not reregister:
+        return
+    fresh = service.scenario("el")
+    assert fresh is not old
+    assert fresh.routing_snapshot().epoch == 0
     service.deregister("el")
 
 

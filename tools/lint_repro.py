@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-invariant AST lint (no third-party deps; CI gate).
 
-Walks ``src/`` and enforces eight structural invariants that code review
+Walks ``src/`` and enforces nine structural invariants that code review
 kept re-litigating:
 
 * ``private-accessor`` — the raw index accessors ``Instance._tuples`` /
@@ -37,6 +37,12 @@ kept re-litigating:
   called only from ``ShardedExchange.apply_delta``: there it runs after
   the fan-out committed and under the service's write lock.  A restamp
   anywhere else could bless an entry that a reader is still filling.
+* ``epoch-publish`` — ``begin_publish``/``commit_publish``/
+  ``abort_publish``, the service epoch's two-phase publish, are called
+  only in ``ExchangeService._publishing``, the one helper every committing
+  write (transaction commit, reshard) publishes through: it settles each
+  token exactly once, so a hand-rolled copy that forgets a path could
+  stall the watermark or settle a token twice.
 * ``layering`` — the packages of ``src/repro/`` form a DAG, kept as data in
   ``LAYERS``: each package imports only the packages listed for it
   (``relational`` nothing, ``logic`` relational, ``chase`` logic +
@@ -91,6 +97,10 @@ MERGED_VIEW_WRITERS = {
 CARRY_CALL = "_carry_slot_answers"
 # The (class, method) pair allowed to call the carry-forward.
 CARRY_CALLERS = {("ShardedExchange", "apply_delta")}
+
+PUBLISH_CALLS = {"begin_publish", "commit_publish", "abort_publish"}
+# The (class, method) pair allowed to drive the epoch's two-phase publish.
+PUBLISH_CALLERS = {("ExchangeService", "_publishing")}
 
 PACKAGE_DIR = "src/repro/"
 # The package DAG: each package of src/repro/ and the packages it may import
@@ -214,11 +224,14 @@ def _merged_view_writes(tree: ast.AST) -> list[tuple[ast.AST, tuple[str, str]]]:
     return _owned(tree, select)
 
 
-def _carry_calls(tree: ast.AST) -> list[tuple[ast.AST, tuple[str, str]]]:
-    """Calls of ``._carry_slot_answers``, each with its owner (see :func:`_owned`)."""
+def _method_calls(
+    tree: ast.AST, names: set[str]
+) -> list[tuple[ast.AST, tuple[str, str]]]:
+    """Calls of ``.<name>(...)`` for ``names``, each with its owner (see
+    :func:`_owned`)."""
 
     def select(node: ast.AST) -> list[ast.AST]:
-        if isinstance(node, ast.Call) and _attr_name(node.func) == CARRY_CALL:
+        if isinstance(node, ast.Call) and _attr_name(node.func) in names:
             return [node]
         return []
 
@@ -374,7 +387,7 @@ def lint_file(path: Path) -> list[Finding]:
                 "only ShardedExchange.__init__, _merged, _advance_merged and "
                 "_swap_shards may write the merged view",
             )
-    for node, owner in _carry_calls(tree):
+    for node, owner in _method_calls(tree, {CARRY_CALL}):
         if owner not in CARRY_CALLERS:
             flag(
                 node,
@@ -382,6 +395,15 @@ def lint_file(path: Path) -> list[Finding]:
                 f".{CARRY_CALL}() called in {'.'.join(filter(None, owner)) or 'module scope'}; "
                 "only ShardedExchange.apply_delta may carry partial answers "
                 "forward (after the commit, under the write lock)",
+            )
+    for node, owner in _method_calls(tree, PUBLISH_CALLS):
+        if owner not in PUBLISH_CALLERS:
+            flag(
+                node,
+                "epoch-publish",
+                f".{_attr_name(node.func)}() called in "
+                f"{'.'.join(filter(None, owner)) or 'module scope'}; only "
+                "ExchangeService._publishing may begin or settle an epoch publish",
             )
     return findings
 
