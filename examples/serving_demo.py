@@ -146,11 +146,11 @@ def main() -> None:
         for root in TRACER.drain():
             print(format_trace(root))
 
-    print("\n== Shards in worker processes: flat int buffers across the pipe ==")
+    print("\n== Shards in worker processes: pickled facts across the pipe ==")
     # Same registration surface, one extra argument: every shard's
     # materialization now lives in its own spawned process.  Deltas and
-    # scatter answers cross as interned int buffers, so joins run beyond
-    # the GIL on multi-core hosts.
+    # scatter answers cross as pickled tuples (nulls keep their identity),
+    # so joins run beyond the GIL on multi-core hosts.
     service.register("employees@procs", mapping, source, shards=2,
                      shard_workers="process")
     print(f"employees: {describe(service.query('employees@procs', by_dept))}  <- scatter, workers")

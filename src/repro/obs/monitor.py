@@ -358,17 +358,6 @@ def default_rules(latency_budget_seconds: float = 0.25) -> tuple[HealthRule, ...
             clear_for=4,
         ),
         HealthRule(
-            "generation-churn",
-            "scenario.{scenario}.sharding.worker_generation_total",
-            description="process-shard restarts (generation bumps) over the window",
-            mode="delta",
-            window=4,
-            warn=1.5,
-            critical=3.5,
-            trigger_for=1,
-            clear_for=4,
-        ),
-        HealthRule(
             "cache-hit-collapse",
             "scenario.{scenario}.cache.hits",
             description="recent cache hit rate from hit/miss counter deltas",

@@ -32,6 +32,10 @@ class Null:
         self.ident = next(Null._counter) if ident is None else ident
         self.label = label
 
+    def __reduce__(self):
+        """Pickle by label and ident: the copy is this null, no ident drawn."""
+        return (Null, (self.label, self.ident))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.label:
             return f"⊥{self.ident}[{self.label}]"

@@ -16,15 +16,10 @@ Code layout
 -----------
 Constant codes are allocated densely from the interner's ``base`` (``0`` for
 a locally owned interner); null codes are ``NULL_CODE_BASE + ident``, so
-
-* ``is_null_code`` is a single range check (no ``isinstance`` per value);
-* null codes are *stable across interners* — two processes that re-seed
-  their :class:`~repro.relational.domain.Null` counters disjointly can
-  exchange null codes without any table synchronisation (the serving
-  layer's worker processes rely on this, see :mod:`repro.serving.workers`);
-* constant codes are reproducible from the interning order alone, so a
-  mirror interner can be kept in sync by shipping the dense value slices
-  (``constants_slice``) instead of re-pickling facts.
+``is_null_code`` is a single range check (no ``isinstance`` per value) and
+two interners agree on every null's code.  In the serving layer the only
+coded instance is the sharded exchange's merged target view; worker
+processes ship plain pickled facts (see :mod:`repro.serving.workers`).
 
 Columnar storage keeps each relation's rows dense under deletion by
 *swap-remove*: the last row moves into the vacated slot and the per-position
@@ -58,8 +53,7 @@ __all__ = [
 ]
 
 #: Codes at or above this value denote nulls (``code - NULL_CODE_BASE`` is the
-#: null's ident).  Constant regions — the parent's dense range and the
-#: per-worker ranges of :mod:`repro.serving.workers` — all sit below it.
+#: null's ident).  Every interner's constant region sits below it.
 NULL_CODE_BASE = 1 << 48
 
 
@@ -73,10 +67,9 @@ class ValueInterner:
 
     Constants get dense codes ``base, base + 1, ...`` in interning order;
     nulls map to ``NULL_CODE_BASE + ident`` (see the module docstring).
-    Foreign constants — codes allocated by *another* interner, e.g. a worker
-    process region — can be registered at their exact codes with
-    :meth:`register`; they decode normally but never shadow the local dense
-    allocation.
+    Constants coded by *another* interner can be adopted at their exact
+    codes with :meth:`register`; they decode normally but never shadow the
+    local dense allocation.
     """
 
     __slots__ = ("_base", "_dense", "_codes", "_by_code", "_nulls")
@@ -130,7 +123,7 @@ class ValueInterner:
             null = self._nulls.get(ident)
             if null is None:
                 # Identity by ident is all Null equality needs; the label is
-                # cosmetic and may be supplied later via register_null.
+                # cosmetic.
                 null = Null(ident=ident)
                 self._nulls[ident] = null
             return null
@@ -139,7 +132,7 @@ class ValueInterner:
     def decode_tuple(self, codes: Iterable[int]) -> tuple:
         return tuple(map(self.decode, codes))
 
-    # -- mirror synchronisation (see repro.serving.workers) ----------------
+    # -- the allocation state (read by the interning tests) -----------------
 
     @property
     def dense_size(self) -> int:
@@ -147,11 +140,7 @@ class ValueInterner:
         return len(self._dense)
 
     def constants_slice(self, start: int) -> list[Any]:
-        """The locally allocated constants from dense index ``start`` on.
-
-        Together with ``base`` this is everything a mirror needs to learn
-        the codes allocated since the last synchronisation point.
-        """
+        """The locally allocated constants from dense index ``start`` on."""
         return self._dense[start:]
 
     @property
@@ -159,21 +148,15 @@ class ValueInterner:
         return self._base
 
     def register(self, code: int, value: Any) -> None:
-        """Adopt a foreign ``code -> value`` binding (mirror synchronisation).
+        """Adopt a ``code -> value`` binding allocated by another interner.
 
         The binding decodes exactly; for encoding, the first code a value got
-        (local or foreign) wins, so both peers agree wherever they met the
-        value independently of message order.
+        (local or adopted) wins.
         """
         if code >= NULL_CODE_BASE:
             raise ValueError("null codes are derived from idents, never registered")
         self._by_code[code] = value
         self._codes.setdefault(value, code)
-
-    def register_null(self, ident: int, label: str | None) -> None:
-        """Record a null's cosmetic label (idents already self-describe)."""
-        if ident not in self._nulls:
-            self._nulls[ident] = Null(label=label, ident=ident)
 
 
 class ColumnarRelation:
@@ -474,6 +457,6 @@ class ColumnarInstance(Instance):
         return f"Columnar{super().__repr__()}"
 
 
-# Worker processes allocate their constants in disjoint regions above the
-# parent's dense range; see repro.serving.workers.
+# A base for a second interner's constant region, disjoint from a default
+# (base 0) interner's; the interning tests use it to exercise ``base=``.
 WORKER_CODE_STRIDE = 1 << 40

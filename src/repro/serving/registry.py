@@ -114,8 +114,8 @@ class ScenarioRegistry:
         (position per source relation, default ``0``), updated through a
         ``shard_workers``-wide pool.  ``shard_workers="process"`` instead
         moves each shard's exchange into a dedicated worker process
-        (beyond-GIL scatter evaluation; deltas and answers cross as flat
-        int buffers).  ``force_residual=True`` skips the
+        (beyond-GIL scatter evaluation; deltas and answers cross as
+        pickled tuples).  ``force_residual=True`` skips the
         shardability analysis and routes everything to the residual shard —
         the always-correct degenerate configuration differential tests pin
         the analysis against.

@@ -298,6 +298,8 @@ class Transaction:
             raise RuntimeError("this transaction has already been committed or aborted")
         self._closed = True
         names = sorted(name for name in self._scenarios if self._buffer[name])
+        if not names:  # nothing buffered: no lock, no publish, no epoch
+            return self.results
         service = self._service
         with service._write_locked(names) as lock_waits, service._publishing() as token:
             committed: list[tuple[str, AppliedDelta]] = []

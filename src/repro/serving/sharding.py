@@ -118,7 +118,7 @@ from repro.obs.flight import FLIGHT_RECORDER
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.relational.instance import Instance
-from repro.relational.interning import ColumnarInstance, ValueInterner
+from repro.relational.interning import ColumnarInstance
 from repro.serving.cache import CertainAnswerCache, VersionVector, query_fingerprint
 from repro.serving.elastic import (
     EpochRouter,
@@ -270,10 +270,6 @@ class ShardingStats:
     buckets: int = 0
     # Committed live reshards (bucket handoffs) on this exchange.
     reshards: int = 0
-    # Summed per-slot generations (0 under thread mode): every worker death
-    # bumps its slot's generation, so a rising total is restart churn — the
-    # monitor's generation-churn rule watches the delta.
-    worker_generation_total: int = 0
     # Per worker shard: the bounded top-K ingest histogram of partition keys
     # (cumulative traffic, the rebalancer's capacity-debugging signal).
     key_histograms: tuple[tuple[tuple[Any, int], ...], ...] = ()
@@ -361,9 +357,6 @@ class ShardedExchange(ExchangeFront):
             if cache_capacity is None
             else cache_capacity * (partition.shards + 1)
         )
-        # The parent side of the wire interner (process mode only): one table
-        # shared by every shard channel, synchronised incrementally.
-        self._worker_interner = ValueInterner() if worker_mode == "process" else None
         slices = [
             Instance(schema=source.schema) for _ in range(partition.shards + 1)
         ]
@@ -408,7 +401,6 @@ class ShardedExchange(ExchangeFront):
                     index,
                     self.compiled,
                     shard_source,
-                    self._worker_interner,
                     max_chase_steps=self._max_chase_steps,
                     cache_capacity=self._cache_capacity,
                     timeout=self._worker_timeout,
@@ -653,7 +645,6 @@ class ShardedExchange(ExchangeFront):
             routing_epoch=routing.epoch,
             buckets=routing.buckets,
             reshards=reshards,
-            worker_generation_total=sum(self._generations),
             key_histograms=tuple(hist.top() for hist in self._key_hist),
             slot_answers_reused=reused,
             slot_answers_carried=carried,

@@ -12,23 +12,13 @@ CPU-bound workloads instead of overlapped waiting.
 
 Wire format
 -----------
-Facts never cross the boundary as pickled tuple sets.  Both directions use
-the interned representation of :mod:`repro.relational.interning`:
-
-* the parent owns a :class:`~repro.relational.interning.ValueInterner` (dense
-  codes from ``0``); each worker mirrors it, receiving **string-table
-  deltas** — the ``(first_code, values)`` slices of constants interned since
-  the previous message — ahead of every coded payload;
-* facts and query answers travel as **flat int buffers** (``array('q')`` of
-  codes) plus ``(relation, arity, count)`` segment descriptors;
-* workers allocate constants the parent has never seen (e.g. literal
-  constants in STD heads) in a disjoint region at
-  ``(index + 1) * WORKER_CODE_STRIDE`` and report them back as sparse table
-  deltas riding on each reply;
-* null codes are ``NULL_CODE_BASE + ident`` — derivable from the ident on
-  both sides, so nulls need *no* table traffic at all.  Workers re-seed
-  ``Null._counter`` into a disjoint ident range, so chase nulls minted in
-  different processes can never collide.
+Requests and replies are plain tuples of facts, queries and answer sets,
+pickled by :mod:`multiprocessing` itself.  The only identity the paper needs
+across the boundary is that of labelled nulls, and a :class:`Null` is its
+``ident``: each worker re-seeds ``Null._counter`` into a disjoint ident range
+(:data:`NULL_IDENT_STRIDE`), so chase nulls minted in different processes can
+never collide, and ``Null.__reduce__`` rebuilds a null from its label and
+ident without minting a fresh one.
 
 Every reply carries a **state summary** (target version vector, layer sizes,
 update-stat counters), which the parent caches — size and version reads on a
@@ -55,23 +45,14 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-from array import array
-from itertools import chain
 from typing import Any, Callable, Iterable, Optional
 
 from repro.analysis.compiled import CompiledMapping, compile_mapping
-from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.relational.instance import Instance
-from repro.relational.interning import (
-    WORKER_CODE_STRIDE,
-    ColumnarInstance,
-    ValueInterner,
-)
 from repro.serving.materialized import (
     AnswerOutcome,
     AppliedDelta,
-    Fact,
     MaterializedExchange,
     ServingError,
     TouchedFacts,
@@ -84,86 +65,9 @@ __all__ = ["ProcessShard", "WorkerGone"]
 #: chase nulls minted in different processes occupy disjoint ident ranges.
 NULL_IDENT_STRIDE = 1 << 34
 
-# Pre-bound instrument handle: bytes of coded fact/answer buffers crossing
-# the worker pipe, request plus reply, observed once per round trip on the
-# parent side.
-_IPC_BUFFER_BYTES = METRICS.histogram(
-    "workers.ipc_buffer_bytes",
-    "Coded int-buffer bytes shipped per worker round trip",
-)
-
 
 class WorkerGone(Exception):
     """The worker process died, hung past the timeout, or failed internally."""
-
-
-# -- wire helpers (used on both sides of the pipe) --------------------------
-
-
-def _encode_facts(
-    facts: Iterable[Fact], interner: ValueInterner
-) -> tuple[list[tuple[str, int, int]], array]:
-    """Facts -> ``(relation, arity, count)`` segments + one flat code buffer."""
-    groups: dict[tuple[str, int], list[int]] = {}
-    counts: dict[tuple[str, int], int] = {}
-    encode = interner.encode
-    for relation, tup in facts:
-        key = (relation, len(tup))
-        codes = groups.get(key)
-        if codes is None:
-            codes = groups[key] = []
-            counts[key] = 0
-        codes.extend(map(encode, tup))
-        counts[key] += 1
-    segments = []
-    buffer = array("q")
-    for key in sorted(groups):
-        relation, arity = key
-        segments.append((relation, arity, counts[key]))
-        buffer.extend(groups[key])
-    return segments, buffer
-
-
-def _decode_facts(
-    segments: list[tuple[str, int, int]], buffer: array, interner: ValueInterner
-) -> list[Fact]:
-    decode = interner.decode
-    facts: list[Fact] = []
-    offset = 0
-    for relation, arity, count in segments:
-        for _ in range(count):
-            facts.append(
-                (relation, tuple(map(decode, buffer[offset : offset + arity])))
-            )
-            offset += arity
-    return facts
-
-
-def _buffer_bytes(payload: Any) -> int:
-    """Bytes of every ``array`` buffer inside a (nested) message tuple."""
-    if isinstance(payload, array):
-        return payload.itemsize * len(payload)
-    if isinstance(payload, tuple):
-        return sum(_buffer_bytes(item) for item in payload)
-    return 0
-
-
-def _register_table(interner: ValueInterner, table: Optional[tuple[int, list]]) -> None:
-    if not table:
-        return
-    first_code, values = table
-    for i, value in enumerate(values):
-        interner.register(first_code + i, value)
-
-
-def _drain_extras(
-    interner: ValueInterner, reported: int
-) -> tuple[int, Optional[tuple[int, list]]]:
-    """The dense allocations made since ``reported`` — a reply's table delta."""
-    values = interner.constants_slice(reported)
-    if not values:
-        return reported, None
-    return reported + len(values), (interner.base + reported, values)
 
 
 # -- the worker process ------------------------------------------------------
@@ -212,22 +116,18 @@ def _run_traced(trace: bool, name: str, index: int, fn: Callable[[], Any]) -> tu
 
 
 def _worker_main(conn, index: int) -> None:
-    """One shard's server loop: decode, delegate to the exchange, encode."""
+    """One shard's server loop: delegate each request to the exchange."""
     import itertools
 
     from repro.relational import domain
 
     # Disjoint ident range: chase nulls minted here can never collide with
-    # the parent's or a sibling worker's (null codes derive from idents).
+    # the parent's or a sibling worker's (null identity is the ident).
     domain.Null._counter = itertools.count((index + 1) * NULL_IDENT_STRIDE)
-    interner = ValueInterner(base=(index + 1) * WORKER_CODE_STRIDE)
-    reported = interner.dense_size
     exchange: Optional[MaterializedExchange] = None
 
     def reply_ok(payload: Any, spans: Optional[tuple] = None) -> None:
-        nonlocal reported
-        reported, extras = _drain_extras(interner, reported)
-        conn.send(("ok", payload, extras, _summary(exchange), spans))
+        conn.send(("ok", payload, _summary(exchange), spans))
 
     try:
         while True:
@@ -244,16 +144,12 @@ def _worker_main(conn, index: int) -> None:
                         dependencies,
                         max_chase_steps,
                         cache_capacity,
-                        table,
-                        segments,
-                        buffer,
+                        schema,
+                        facts,
                     ) = message
-                    _register_table(interner, table)
-                    # The shard's source lives interned/columnar, so the
-                    # trigger joins inside apply_delta run over int codes too.
-                    source = ColumnarInstance(interner=interner)
-                    for relation, tup in _decode_facts(segments, buffer, interner):
-                        source.add(relation, tup)
+                    source = Instance(schema=schema)
+                    for fact in facts:
+                        source.add(*fact)
                     exchange = MaterializedExchange(
                         name,
                         compile_mapping(mapping, dependencies),
@@ -263,28 +159,17 @@ def _worker_main(conn, index: int) -> None:
                     )
                     reply_ok(None)
                 elif kind == "apply":
-                    _, table, add_seg, add_buf, rem_seg, rem_buf, trace = message
-                    _register_table(interner, table)
+                    _, added, removed, trace = message
                     applied, spans = _run_traced(
                         trace,
                         "worker.apply_delta",
                         index,
-                        lambda: exchange.apply_delta(
-                            added=_decode_facts(add_seg, add_buf, interner),
-                            removed=_decode_facts(rem_seg, rem_buf, interner),
-                        ),
+                        lambda: exchange.apply_delta(added=added, removed=removed),
                     )
                     # The touched target facts ride along split by membership
                     # (None when unknown), for the front's merged view.
-                    split = exchange.split_touched(applied)
                     reply_ok(
-                        (
-                            _encode_facts(applied.added, interner),
-                            _encode_facts(applied.removed, interner),
-                            None
-                            if split is None
-                            else tuple(_encode_facts(facts, interner) for facts in split),
-                        ),
+                        (applied.added, applied.removed, exchange.split_touched(applied)),
                         spans,
                     )
                 elif kind == "answer":
@@ -292,33 +177,23 @@ def _worker_main(conn, index: int) -> None:
                     outcome, spans = _run_traced(
                         trace, "worker.answer", index, lambda: exchange.answer(query)
                     )
-                    answers = outcome.answers
-                    arity = len(next(iter(answers))) if answers else 0
-                    buffer = array("q", map(interner.encode, chain.from_iterable(answers)))
-                    reply_ok(
-                        (len(answers), arity, buffer, outcome.route, outcome.cached),
-                        spans,
-                    )
+                    reply_ok((outcome.answers, outcome.route, outcome.cached), spans)
                 elif kind == "facts":
-                    reply_ok(_encode_facts(exchange.target.facts(), interner))
+                    reply_ok(tuple(exchange.target.facts()))
                 else:  # pragma: no cover - protocol mismatch guard
-                    conn.send(
-                        ("fatal", f"unknown message kind {kind!r}", None, None, None)
-                    )
+                    conn.send(("fatal", f"unknown message kind {kind!r}", None, None))
             except ServingError as exc:
                 # The exchange rolled itself back; the scenario is intact.
-                reported, extras = _drain_extras(interner, reported)
                 conn.send(
                     (
                         "error",
                         str(exc),
-                        extras,
                         _summary(exchange) if exchange is not None else None,
                         None,
                     )
                 )
             except Exception as exc:  # noqa: BLE001 - shipped to the parent
-                conn.send(("fatal", f"{type(exc).__name__}: {exc}", None, None, None))
+                conn.send(("fatal", f"{type(exc).__name__}: {exc}", None, None))
     except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover - parent gone
         pass
     finally:
@@ -331,8 +206,8 @@ def _worker_main(conn, index: int) -> None:
 class ProcessShard:
     """One shard's exchange, hosted in a worker process (see module docstring).
 
-    A plain proxy: every request encodes, does one round trip, decodes, and
-    raises :class:`WorkerGone` or :class:`ServingError`.  It duck-types the
+    A plain proxy: every request does one round trip and returns the reply
+    or raises :class:`WorkerGone` or :class:`ServingError`.  It duck-types the
     slice of the :class:`MaterializedExchange` surface the sharded exchange
     uses — ``apply_delta``/``split_touched``/``answer``/``update_stats``/
     ``source``/``target``/``target_size``/
@@ -347,7 +222,6 @@ class ProcessShard:
         index: int,
         compiled: CompiledMapping,
         source: Instance,
-        interner: ValueInterner,
         max_chase_steps: int | None = None,
         cache_capacity: int | None = None,
         timeout: float | None = None,
@@ -359,8 +233,6 @@ class ProcessShard:
         # acknowledged commits, so it is pre-batch-exact whenever the worker
         # dies mid-batch — exactly what the front rebuilds the slot from.
         self.source = source.copy()
-        self._interner = interner
-        self._watermark = 0  # dense parent constants already shipped
         self._timeout = timeout
         self._io_lock = threading.Lock()
         # The last reply's state summary, and its version and relation-size
@@ -379,7 +251,6 @@ class ProcessShard:
         )
         self._proc.start()
         child.close()
-        segments, buffer = _encode_facts(self.source.facts(), interner)
         try:
             self._request(
                 (
@@ -389,27 +260,18 @@ class ProcessShard:
                     compiled.target_dependencies,
                     max_chase_steps,
                     cache_capacity,
-                    self._table_delta(),
-                    segments,
-                    buffer,
+                    self.source.schema,
+                    tuple(self.source.facts()),
                 )
             )
         except BaseException:
             self.close()
             raise
 
-    # -- wire plumbing -----------------------------------------------------
-
-    def _table_delta(self) -> Optional[tuple[int, list]]:
-        values = self._interner.constants_slice(self._watermark)
-        if not values:
-            return None
-        delta = (self._interner.base + self._watermark, values)
-        self._watermark += len(values)
-        return delta
+    # -- the round trip ----------------------------------------------------
 
     def _request(self, message: tuple) -> Any:
-        """One round trip; registers reply extras and caches the summary.
+        """One round trip; caches the reply's summary.
 
         Raises :class:`WorkerGone` on death/timeout/internal failure (or a
         closed proxy) and :class:`ServingError` when the worker rejected (and
@@ -429,12 +291,9 @@ class ProcessShard:
                 reply = conn.recv()
             except (EOFError, OSError) as exc:
                 raise WorkerGone(f"shard worker {self.index} died: {exc}") from exc
-        kind, payload, extras, summary, spans = reply
-        if METRICS.enabled:
-            _IPC_BUFFER_BYTES.observe(_buffer_bytes(message) + _buffer_bytes(payload))
+        kind, payload, summary, spans = reply
         if kind == "fatal":
             raise WorkerGone(f"shard worker {self.index} failed: {payload}")
-        _register_table(self._interner, extras)
         if summary is not None:
             self._summary = summary
             self._versions = dict(summary[0])
@@ -451,41 +310,19 @@ class ProcessShard:
         added: Iterable[tuple[str, Iterable[Any]]] = (),
         removed: Iterable[tuple[str, Iterable[Any]]] = (),
     ) -> AppliedDelta:
-        add_seg, add_buf = _encode_facts(
-            [(name, tuple(tup)) for name, tup in added], self._interner
-        )
-        rem_seg, rem_buf = _encode_facts(
-            [(name, tuple(tup)) for name, tup in removed], self._interner
-        )
-        (applied_add_seg, applied_add_buf), (applied_rem_seg, applied_rem_buf), split = (
-            self._request(
-                (
-                    "apply",
-                    self._table_delta(),
-                    add_seg,
-                    add_buf,
-                    rem_seg,
-                    rem_buf,
-                    TRACER.enabled,
-                )
+        applied_added, applied_removed, split = self._request(
+            (
+                "apply",
+                [(name, tuple(tup)) for name, tup in added],
+                [(name, tuple(tup)) for name, tup in removed],
+                TRACER.enabled,
             )
         )
-        applied_added = _decode_facts(applied_add_seg, applied_add_buf, self._interner)
-        applied_removed = _decode_facts(applied_rem_seg, applied_rem_buf, self._interner)
         for fact in applied_removed:
             self.source.discard(*fact)
         for fact in applied_added:
             self.source.add(*fact)
-        return AppliedDelta(
-            added=tuple(applied_added),
-            removed=tuple(applied_removed),
-            touched=None
-            if split is None
-            else tuple(
-                tuple(_decode_facts(segments, buffer, self._interner))
-                for segments, buffer in split
-            ),
-        )
+        return AppliedDelta(added=applied_added, removed=applied_removed, touched=split)
 
     def split_touched(self, applied: AppliedDelta) -> TouchedFacts:
         """The worker already split the touched facts by membership (see
@@ -493,14 +330,7 @@ class ProcessShard:
         return applied.touched
 
     def answer(self, query) -> AnswerOutcome:
-        count, arity, buffer, route, cached = self._request(
-            ("answer", query, TRACER.enabled)
-        )
-        if arity:
-            values = list(map(self._interner.decode, buffer))
-            answers = frozenset(zip(*[iter(values)] * arity))
-        else:  # a boolean query: true ships one empty tuple and no codes
-            answers = frozenset([()]) if count else frozenset()
+        answers, route, cached = self._request(("answer", query, TRACER.enabled))
         return AnswerOutcome(answers, "monotone", route, cached)
 
     @property
@@ -527,10 +357,10 @@ class ProcessShard:
         return tuple((name, known.get(name, 0)) for name in sorted(set(relations)))
 
     def _fetch_layers(self) -> Instance:
-        """The decoded shard target, fetched per call (the sharded front
-        keeps its own merged view; nothing caches here)."""
+        """The shard target, fetched per call (the sharded front keeps its
+        own merged view; nothing caches here)."""
         instance = Instance(schema=self.compiled.mapping.target)
-        for fact in _decode_facts(*self._request(("facts",)), self._interner):
+        for fact in self._request(("facts",)):
             instance.add(*fact)
         return instance
 

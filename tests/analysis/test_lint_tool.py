@@ -399,3 +399,24 @@ def test_layering_table_names_every_package_of_the_real_tree():
     repro = TOOL.parent.parent / "src" / "repro"
     packages = {path.name for path in repro.iterdir() if (path / "__init__.py").exists()}
     assert packages == set(module.LAYERS)
+
+
+def test_size_budget_flags_a_package_over_budget(lint):
+    module, root = lint
+    write(root, "tools/size_budget.json", '{"logic": 2, "serving": 3}\n')
+    write(root, "src/repro/logic/a.py", "x = 1\ny = 2\n")
+    write(root, "src/repro/serving/a.py", "x = 1\n")
+    write(root, "src/repro/serving/b.py", "y = 2\nz = 3\n")
+    assert module.lint_paths([root / "src"]) == []
+    write(root, "src/repro/serving/b.py", "y = 2\nz = 3\nw = 4\n")
+    write(root, "src/repro/chase/c.py", "v = 5\n")
+    findings = module.lint_paths([root / "src"])
+    assert [f.rule for f in findings] == ["size-budget", "size-budget"]
+    assert "repro.chase has 1 lines, no budget" in findings[0].message
+    assert "repro.serving has 4 lines, over its budget of 3" in findings[1].message
+    # A partial lint undercounts a package; it never flags one falsely, and
+    # overlapping paths count each file once.
+    assert module.lint_paths([root / "src/repro/serving/a.py"]) == []
+    write(root, "src/repro/serving/b.py", "y = 2\nz = 3\n")
+    serving = root / "src/repro/serving"
+    assert module.lint_paths([serving, serving / "a.py"]) == []

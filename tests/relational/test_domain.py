@@ -1,5 +1,7 @@
 """Tests for constants, nulls and null factories."""
 
+import pickle
+
 from repro.relational.domain import (
     Null,
     NullFactory,
@@ -17,6 +19,15 @@ def test_fresh_nulls_are_distinct():
     assert a != b
     assert a == a
     assert len({a, b}) == 2
+
+
+def test_a_pickled_null_keeps_its_identity_and_mints_nothing():
+    null = Null(label="x")
+    minted = fresh_null().ident
+    clone = pickle.loads(pickle.dumps(null))
+    assert (clone.ident, clone.label) == (null.ident, "x")
+    assert clone == null and hash(clone) == hash(null)
+    assert fresh_null().ident == minted + 1  # unpickling drew no ident
 
 
 def test_null_is_never_equal_to_a_constant():

@@ -118,6 +118,19 @@ def test_update_rejects_overlapping_sides_and_reports_noops():
     assert noop.added == () and noop.trigger_rounds == 0
 
 
+def test_empty_batches_do_not_move_the_epoch_watermark():
+    service = service_with()
+    start = service.stats().epoch
+    noop = service.update("t")
+    assert (noop.added, noop.retracted, noop.epoch) == ((), (), 0)
+    with service.transaction("t") as txn:
+        pass
+    assert txn.results == {}
+    assert service.stats().epoch == start
+    result = service.update("t", add=[("Emp", ("carol", "d1"))])
+    assert service.stats().epoch == start + 1 == result.epoch
+
+
 def test_transaction_nets_out_conflicting_operations():
     service = service_with()
     ex = service.scenario("t")

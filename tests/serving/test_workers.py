@@ -1,12 +1,12 @@
 """Per-shard worker processes: differential, degradation and lifecycle tests.
 
 ``shard_workers="process"`` moves each shard's :class:`MaterializedExchange`
-into a dedicated worker process; deltas and scatter answers cross the pipe as
-flat int buffers plus interner string-table deltas.  Everything observable —
-answers, update counters, rollback semantics, the composed version vector's
-cache behaviour — must be identical to the in-thread shards, and a dead or
-wedged worker must not fail the scenario: the sharded front swaps its slot
-for an in-process exchange, once per death.
+into a dedicated worker process; deltas, scatter answers and target facts
+cross the pipe as pickled tuples, with null identity kept by ident.
+Everything observable — answers, update counters, rollback semantics, the
+composed version vector's cache behaviour — must be identical to the
+in-thread shards, and a dead or wedged worker must not fail the scenario:
+the sharded front swaps its slot for an in-process exchange, once per death.
 
 Worker processes use the ``spawn`` start method (the only one that is safe
 under threads and the only one available everywhere Python 3.13 runs), so
@@ -24,7 +24,6 @@ from repro.chase.dependencies import parse_dependencies
 from repro.core.mapping import mapping_from_rules
 from repro.logic.cq import cq
 from repro.obs.flight import FLIGHT_RECORDER
-from repro.obs.metrics import METRICS
 from repro.relational.builders import make_instance
 from repro.serving.materialized import ServingError
 from repro.serving.service import ExchangeService
@@ -202,7 +201,6 @@ def test_killed_worker_degrades_gracefully_and_keeps_serving():
         assert not isinstance(exchange.shards[0], ProcessShard)
         stats = exchange.sharding_stats()
         assert stats.worker_failures == 1
-        assert stats.worker_generation_total == 1
         assert stats.worker_mode == "process"
         for query in workload.queries:  # still answering after degradation
             exchange.answer(query)
@@ -295,7 +293,6 @@ def test_two_requests_on_one_dead_worker_make_one_swap():
         assert answers == expected
         stats = exchange.sharding_stats()
         assert stats.worker_failures == 1
-        assert stats.worker_generation_total == 1
         assert exchange.shard_states() == (
             "degraded(gen=1)",
             "process(gen=0)",
@@ -451,54 +448,3 @@ def test_register_rejects_unknown_worker_mode_strings():
             worker_mode="fork",
         )
 
-
-class _RecordingConn:
-    """Wraps a proxy's pipe end, keeping every message sent and received."""
-
-    def __init__(self, conn):
-        self.conn = conn
-        self.sent, self.received = [], []
-
-    def send(self, message):
-        self.sent.append(message)
-        self.conn.send(message)
-
-    def poll(self, timeout):
-        return self.conn.poll(timeout)
-
-    def recv(self):
-        reply = self.conn.recv()
-        self.received.append(reply)
-        return reply
-
-    def close(self):
-        self.conn.close()
-
-
-def test_ipc_buffer_bytes_counts_request_and_reply_once_per_round_trip():
-    """``workers.ipc_buffer_bytes`` observes one value per round trip: the
-    coded buffers of the request *and* of the reply — for ``apply`` the
-    applied delta and the touched target facts come back as buffers too."""
-    histogram = METRICS.histogram("workers.ipc_buffer_bytes")
-    workload, exchange = skewed_exchange("ipc", "process")
-    try:
-        routing = exchange.routing_snapshot()
-        customer = next(
-            c for c, _ in exchange.source.relation("Account")
-            if exchange.plan.shard_of("Account", (c, "x"), routing) == 0
-        )
-        shard = exchange.shards[0]
-        recorder = shard._conn = _RecordingConn(shard._conn)
-        count, total = histogram.count, histogram.sum
-        shard.apply_delta(added=[("Account", (customer, "ipc-fresh"))])
-        [message], [reply] = recorder.sent, recorder.received
-        _, _, _, add_buf, _, rem_buf, _ = message
-        (_, applied_add), (_, applied_rem), split = reply[1]
-        reply_buffers = [applied_add, applied_rem] + [buf for _, buf in split]
-        request_bytes = 8 * (len(add_buf) + len(rem_buf))
-        reply_bytes = sum(8 * len(buf) for buf in reply_buffers)
-        assert request_bytes > 0 and reply_bytes > 0
-        assert histogram.count == count + 1
-        assert histogram.sum == total + request_bytes + reply_bytes
-    finally:
-        exchange.close()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-invariant AST lint (no third-party deps; CI gate).
 
-Walks ``src/`` and enforces nine structural invariants that code review
+Walks ``src/`` and enforces ten structural invariants that code review
 kept re-litigating:
 
 * ``private-accessor`` — the raw index accessors ``Instance._tuples`` /
@@ -54,6 +54,11 @@ kept re-litigating:
   quickstart re-export) are exempt.  It is checked statically because a
   runtime check cannot see it: ``repro/__init__.py`` imports the serving
   layer, so importing any submodule loads the whole stack.
+* ``size-budget`` — a ratchet on code size: ``tools/size_budget.json``
+  records the line count of each ``src/repro/<package>/``, and a package
+  over its budget (or missing from the file) fails, so any growth changes
+  the budget file in the same diff and shows up in review.  Trees without
+  the file (the tool's own test fixtures) skip the rule.
 
 A finding can be waived on its line with ``# lint: allow(<rule>)`` — the
 waiver is part of the diff, so it shows up in review.
@@ -65,6 +70,7 @@ Usage: ``python tools/lint_repro.py [paths...]`` (default ``src``); exits
 from __future__ import annotations
 
 import ast
+import json
 import re
 import sys
 from pathlib import Path
@@ -119,6 +125,9 @@ LAYERS: dict[str, frozenset[str] | None] = {
 }
 # Besides every __main__.py CLI: the quickstart re-export of the whole stack.
 LAYERING_EXEMPT = {"src/repro/__init__.py"}
+
+# Lines per package of src/repro/; see the size-budget rule.
+SIZE_BUDGET_FILE = "tools/size_budget.json"
 
 ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
@@ -408,12 +417,55 @@ def lint_file(path: Path) -> list[Finding]:
     return findings
 
 
+def package_sizes(files: list[Path]) -> dict[str, int]:
+    """Lines per ``src/repro/<package>/`` over ``files``."""
+    sizes: dict[str, int] = {}
+    for file in files:
+        package = _package_of(_relpath(file))
+        if package is not None:
+            sizes[package] = sizes.get(package, 0) + len(file.read_text().splitlines())
+    return sizes
+
+
+def size_findings(sizes: dict[str, int]) -> list[Finding]:
+    """Packages over (or missing from) the size budget; none without one.
+
+    A partial lint counts only the files it walked, so it can undercount a
+    package but never flag one falsely.
+    """
+    budget_path = REPO_ROOT / SIZE_BUDGET_FILE
+    if not budget_path.exists():
+        return []
+    budget = json.loads(budget_path.read_text())
+    findings = []
+    for package, lines in sorted(sizes.items()):
+        limit = budget.get(package)
+        if limit is None or lines > limit:
+            findings.append(
+                Finding(
+                    budget_path,
+                    1,
+                    "size-budget",
+                    f"repro.{package} has {lines} lines, "
+                    + ("no budget" if limit is None else f"over its budget of {limit}")
+                    + f"; shrink it or change {SIZE_BUDGET_FILE} in the same diff",
+                )
+            )
+    return findings
+
+
 def lint_paths(paths: list[Path]) -> list[Finding]:
-    findings: list[Finding] = []
-    for root in paths:
-        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
-        for file in files:
-            findings.extend(lint_file(file))
+    # Each file once, however the given paths overlap: the size budget
+    # must not count a file twice.
+    files = list(
+        dict.fromkeys(
+            file
+            for root in paths
+            for file in (sorted(root.rglob("*.py")) if root.is_dir() else [root])
+        )
+    )
+    findings = [finding for file in files for finding in lint_file(file)]
+    findings.extend(size_findings(package_sizes(files)))
     findings.sort(key=lambda f: (str(f.path), f.line))
     return findings
 
