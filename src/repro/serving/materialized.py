@@ -998,3 +998,13 @@ class MaterializedExchange(ExchangeFront):
             f"MaterializedExchange({self.name!r}: |S|={len(self.source)}, "
             f"|T|={len(self._target)}, cache={len(self._cache)})"
         )
+
+
+class SlotExchange(MaterializedExchange):
+    """A shard slot: monotone queries are answered over the maintained target
+    (its indexes stay warm across writes), and no core is ever computed.
+    Sound by Proposition 3: the sharded front only unions the slots'
+    null-free answers, the same over a universal solution as over its core."""
+
+    def _monotone_route(self, query: AnyQuery) -> str:
+        return "target"

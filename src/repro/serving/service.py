@@ -185,6 +185,9 @@ class UpdateResult:
 class ScenarioStats:
     """One scenario's structured introspection snapshot.
 
+    ``core_tuples`` is ``None`` until a core is computed, and always for a
+    sharded scenario (its slots answer over their targets and keep no core).
+
     ``sharding`` is ``None`` for unsharded scenarios; for a
     :class:`~repro.serving.sharding.ShardedExchange` it carries the
     epoch-consistent per-shard figures (the whole snapshot is taken under

@@ -2,7 +2,7 @@
 
 One :class:`ShardedExchange` splits a scenario's source across ``n`` *worker
 shards* plus one *residual shard*, each backed by its own
-:class:`~repro.serving.materialized.MaterializedExchange`, and serves the
+:class:`~repro.serving.materialized.SlotExchange`, and serves the
 same query/update surface as a single exchange — so it plugs into
 :class:`~repro.serving.service.ExchangeService` behind the existing
 per-scenario reader/writer locks unchanged.  Which source facts go where is
@@ -42,10 +42,12 @@ reports.
 * **Monotone queries** evaluate *scatter-gather* when the query itself is
   provably intra-shard (same key-connectedness test as STD bodies, plus
   single-atom and residual-only cases): every shard answers in parallel
-  over its own core/target and the answer sets are unioned.  The union is
-  the null-aware dedup: certain answers are null-free and per-shard nulls
-  are disjoint, so no cross-shard identification could create or merge
-  answers.  Queries that may join across the partition fall back to a
+  over its own maintained target and the answer sets are unioned.  A slot
+  keeps no core: by Proposition 3 null-free UCQ answers are the same over
+  a universal solution as over its core.  The union is the null-aware
+  dedup: certain answers are null-free and per-shard nulls are disjoint,
+  so no cross-shard identification could create or merge answers.
+  Queries that may join across the partition fall back to a
   maintained **merged target view**: one coded
   :class:`~repro.relational.interning.ColumnarInstance` built on first use
   and then advanced per committed batch from the target facts each shard
@@ -78,22 +80,22 @@ A committed batch then *carries* a partial of a touched slot forward —
 restamps its guard from the slot's pre-batch to its post-batch versions —
 when no target fact the slot reports touching matches one of the query's
 atoms (same relation and arity, equal values at every constant position).
-This is sound by Proposition 3: a null-free UCQ answer over a universal
-solution, or over its core (the slots answer over theirs; the answers are
-the same), is the null-free image of the head under some homomorphism from
-a disjunct's body into the target, and each atom's image is a fact that
-matches it.  If no matching fact was added or removed, every atom has the
-same candidate images, so the homomorphisms, and the slot's answers, are
-unchanged.  Equalities and repeated variables are ignored, which only
-makes the test more conservative.  The argument needs the report to be
-complete: it is the record of every target fact the slot's repair added
-or removed (the one that also advances the merged view and the core), and
-it is ``None`` whenever the slot cannot say — an egd rewrite or a replay —
-in which case nothing is carried.  Nothing is carried across a rolled-back
-batch either (every partial is dropped, as the top-level cache is), a
-slot swap (a worker death, a reshard commit, a rebuild) drops every
-partial, and the routing epoch and slot generations in each guard cover a
-death that happens during a read.  The carry-forward runs only in
+This is sound because a null-free UCQ answer over a slot's target (the
+slots answer over their targets, not over cores) is the null-free image
+of the head under some homomorphism from a disjunct's body into the
+target, and each atom's image is a fact that matches it.  If no matching
+fact was added or removed, every atom has the same candidate images, so
+the homomorphisms, and the slot's answers, are unchanged.  Equalities and
+repeated variables are ignored, which only makes the test more
+conservative.  The argument needs the report to be complete: it is the
+record of every target fact the slot's repair added or removed (the one
+that also advances the merged view), and it is ``None`` whenever the slot
+cannot say — an egd rewrite or a replay — in which case nothing is
+carried.  Nothing is carried across a rolled-back batch either (every
+partial is dropped, as the top-level cache is), a slot swap (a worker
+death, a reshard commit, a rebuild) drops every partial, and the routing
+epoch and slot generations in each guard cover a death that happens
+during a read.  The carry-forward runs only in
 :meth:`ShardedExchange.apply_delta`, after the commit and under the
 service's write lock (the ``slot-answers`` lint rule keeps it there): a
 restamp anywhere else could bless an entry a reader is still filling.
@@ -135,7 +137,7 @@ from repro.serving.materialized import (
     AppliedDelta,
     ExchangeFront,
     Fact,
-    MaterializedExchange,
+    SlotExchange,
     TouchedFacts,
     normalise_delta,
 )
@@ -409,8 +411,8 @@ class ShardedExchange(ExchangeFront):
                 self._note_worker_death(index, str(gone))
         return self._local_shard(index, shard_source)
 
-    def _local_shard(self, index: int, shard_source: Instance) -> MaterializedExchange:
-        return MaterializedExchange(
+    def _local_shard(self, index: int, shard_source: Instance) -> SlotExchange:
+        return SlotExchange(
             self._shard_name(index),
             self.compiled,
             shard_source,
@@ -599,20 +601,7 @@ class ShardedExchange(ExchangeFront):
             return len(view[1])
         return sum(shard.target_size for shard in self.shards)
 
-    @property
-    def core_size(self) -> Optional[int]:
-        """Summed shard core sizes, or ``None`` while any non-empty shard
-        has not computed its core yet (introspection only, like the
-        unsharded counterpart — reading it never computes anything)."""
-        total = 0
-        for shard in self.shards:
-            size = shard.core_size
-            if size is None:
-                if shard.target_size:
-                    return None
-                size = 0
-            total += size
-        return total
+    core_size: Optional[int] = None  # the slots keep no core (see _evaluate)
 
     def sharding_stats(self) -> ShardingStats:
         """The epoch-consistent sharding snapshot (see :class:`ShardingStats`)."""
@@ -1107,9 +1096,10 @@ class ShardedExchange(ExchangeFront):
 
     def _evaluate(self, route: str, query: AnyQuery, relations: list[str]) -> set[tuple]:
         """Scatter: parallel per-shard :meth:`MaterializedExchange.answer`
-        (each shard serves its own core/cache) for the slots without a fresh
-        partial answer, unioned with the fresh partials.  Merged: naive
-        evaluation over the merged target view."""
+        (each slot evaluates over its own maintained target, behind its own
+        cache) for the slots without a fresh partial answer, unioned with
+        the fresh partials.  Merged: naive evaluation over the merged target
+        view."""
         if route == "merged":
             with TRACER.span("exchange.evaluate", route=route):
                 answers = certain_answers_naive(query, self._merged())

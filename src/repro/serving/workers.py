@@ -1,7 +1,7 @@
 """Per-shard worker processes: beyond-GIL scatter evaluation.
 
 A :class:`ProcessShard` hosts one shard's
-:class:`~repro.serving.materialized.MaterializedExchange` in a dedicated
+:class:`~repro.serving.materialized.SlotExchange` in a dedicated
 worker process (``spawn`` start method, so the layout is identical on every
 platform and Python version) while presenting the exchange's serving surface
 to the parent :class:`~repro.serving.sharding.ShardedExchange`.  CPU-bound
@@ -53,8 +53,8 @@ from repro.relational.instance import Instance
 from repro.serving.materialized import (
     AnswerOutcome,
     AppliedDelta,
-    MaterializedExchange,
     ServingError,
+    SlotExchange,
     TouchedFacts,
     UpdateStats,
 )
@@ -73,13 +73,12 @@ class WorkerGone(Exception):
 # -- the worker process ------------------------------------------------------
 
 
-def _summary(exchange: MaterializedExchange) -> tuple:
+def _summary(exchange: SlotExchange) -> tuple:
     stats = exchange.update_stats
     target = exchange.target
     return (
         tuple(exchange._target_versions()),
         exchange.target_size,
-        exchange.core_size,
         tuple(
             sorted(
                 (name, len(target.relation(name)))
@@ -124,7 +123,7 @@ def _worker_main(conn, index: int) -> None:
     # Disjoint ident range: chase nulls minted here can never collide with
     # the parent's or a sibling worker's (null identity is the ident).
     domain.Null._counter = itertools.count((index + 1) * NULL_IDENT_STRIDE)
-    exchange: Optional[MaterializedExchange] = None
+    exchange: Optional[SlotExchange] = None
 
     def reply_ok(payload: Any, spans: Optional[tuple] = None) -> None:
         conn.send(("ok", payload, _summary(exchange), spans))
@@ -150,7 +149,7 @@ def _worker_main(conn, index: int) -> None:
                     source = Instance(schema=schema)
                     for fact in facts:
                         source.add(*fact)
-                    exchange = MaterializedExchange(
+                    exchange = SlotExchange(
                         name,
                         compile_mapping(mapping, dependencies),
                         source,
@@ -210,10 +209,10 @@ class ProcessShard:
     or raises :class:`WorkerGone` or :class:`ServingError`.  It duck-types the
     slice of the :class:`MaterializedExchange` surface the sharded exchange
     uses — ``apply_delta``/``split_touched``/``answer``/``update_stats``/
-    ``source``/``target``/``target_size``/
-    ``target_relation_size``/``core_size``/``_target_versions``/``close`` — so
-    :class:`~repro.serving.sharding.ShardedExchange` treats thread- and
-    process-backed shards identically.
+    ``source``/``target``/``target_size``/``target_relation_size``/
+    ``_target_versions``/``close`` — so the sharded exchange treats thread-
+    and process-backed shards identically.  ``answer`` evaluates over the
+    worker's maintained target (it hosts a ``SlotExchange``; no core).
     """
 
     def __init__(
@@ -297,7 +296,7 @@ class ProcessShard:
         if summary is not None:
             self._summary = summary
             self._versions = dict(summary[0])
-            self._sizes = dict(summary[3])
+            self._sizes = dict(summary[2])
         TRACER.graft(spans)
         if kind == "error":
             raise ServingError(payload)
@@ -337,7 +336,7 @@ class ProcessShard:
     def update_stats(self) -> UpdateStats:
         if self._summary is None:
             return UpdateStats()
-        return UpdateStats(*self._summary[5])
+        return UpdateStats(*self._summary[4])
 
     @property
     def target_size(self) -> int:
@@ -345,10 +344,6 @@ class ProcessShard:
 
     def target_relation_size(self, name: str) -> int:
         return self._sizes.get(name, 0)
-
-    @property
-    def core_size(self) -> Optional[int]:
-        return self._summary[2] if self._summary is not None else None
 
     def _target_versions(self, relations: Iterable[str] | None = None) -> tuple:
         if relations is None:

@@ -10,6 +10,7 @@ falls back to the residual shard (``force_residual=True``).
 
 import pytest
 
+import repro.serving.materialized as materialized_mod
 from repro.chase.dependencies import parse_dependencies
 from repro.core.mapping import mapping_from_rules
 from repro.logic.cq import UnionOfConjunctiveQueries, cq
@@ -1012,6 +1013,72 @@ def test_a_dead_worker_and_a_reshard_commit_drop_every_partial(mode):
         assert_answers_match(exchange, flat, scatter)
     finally:
         exchange.close()
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_scatter_slots_answer_over_their_targets(mode, monkeypatch):
+    """A slot answers every monotone query over its maintained target and
+    never computes a core.  After every batch of a seeded stream, every
+    answer (scatter and merged) equals the unsharded exchange's, each slot
+    answers a fresh scatter-safe CQ by the ``target`` route, and the core
+    engine is not called for the sharded exchange (counted in this process,
+    which hosts the slots in thread mode).  The service reports no core
+    size for the sharded scenario and still serves a flat UCQ from the core."""
+    core_calls = []
+    for name in ("core_of_delta", "core_of_indexed"):
+
+        def counted(*args, _original=getattr(materialized_mod, name), **kwargs):
+            core_calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(materialized_mod, name, counted)
+    workload = skewed_workload(
+        customers=16, accounts=80, batches=8, batch_size=4, zipf_s=1.2, seed=11
+    )
+    compiled = compile_mapping(workload.mapping, workload.target_dependencies)
+    flat = MaterializedExchange("flat", compiled, workload.source)
+    exchange = ShardedExchange(
+        "slots", compiled, workload.source, PartitionSpec(2), worker_mode=mode
+    )
+    assert {exchange._monotone_route(q) for q in workload.queries} == {"scatter", "merged"}
+
+    def check(step):
+        # A probe no slot has cached yet, so every slot evaluates it.
+        probe = cq(["a"], [("Acct", [Const(f"c{step}"), "a"])], name=f"probe{step}")
+        assert exchange._monotone_route(probe) == "scatter"
+        queries = workload.queries + (probe,)
+        expected = [flat.certain_answers(q) for q in queries]
+        calls = len(core_calls)
+        for shard in exchange.shards:
+            assert shard.answer(probe).route == "target"
+        assert [exchange.certain_answers(q) for q in queries] == expected
+        assert len(core_calls) == calls
+
+    try:
+        check(0)
+        for step, (added, removed) in enumerate(workload.batches, start=1):
+            for target in (flat, exchange):
+                target.apply_delta(added=added, removed=removed)
+            check(step)
+        assert core_calls  # the flat exchange did compute its core
+    finally:
+        exchange.close()
+
+    service = ExchangeService()
+    scenario = (workload.mapping, workload.source, workload.target_dependencies)
+    service.register("flat", *scenario)
+    service.register(
+        "sharded", *scenario, shards=2, shard_workers="process" if mode == "process" else None
+    )
+    try:
+        hot_profile = next(q for q in workload.queries if q.name == "hot_profile")
+        assert service.query("flat", hot_profile).route == "core"
+        assert service.query("sharded", hot_profile).route == "scatter"
+        stats = service.stats()
+        assert stats.scenario("flat").core_tuples is not None
+        assert stats.scenario("sharded").core_tuples is None
+    finally:
+        service.deregister("sharded")
 
 
 def test_a_boolean_scatter_query_over_process_shards_returns_the_empty_tuple():
