@@ -111,8 +111,9 @@ from repro.serving.core_engine import core_of_delta, core_of_indexed
 Fact = tuple[str, tuple]
 TriggerKey = tuple[int, tuple]
 #: Target facts a batch touched as two sides — ``(added, removed)`` as
-#: recorded, or ``(present, absent)`` once split by membership — or ``None``
-#: when an egd rewrite or a replay leaves them unknown.
+#: recorded on the flat exchange, ``(present, absent)`` split by membership
+#: on a shard slot — or ``None`` when an egd rewrite or a replay leaves them
+#: unknown.
 TouchedFacts = Optional[tuple[tuple[Fact, ...], tuple[Fact, ...]]]
 
 
@@ -154,11 +155,11 @@ class AppliedDelta:
 
     added: tuple[Fact, ...] = ()
     removed: tuple[Fact, ...] = ()
-    # The target facts the batch's maintenance touched (see TouchedFacts):
-    # recorded, not checked, so a fact may sit on either side with its
-    # membership unchanged; a process shard's proxy returns them already
-    # split.  Not part of the delta's identity: an inverse or netted delta
-    # says nothing about it.
+    # The target facts the batch's maintenance touched (see TouchedFacts).
+    # Raw on the flat exchange: recorded, not checked, so a fact may sit on
+    # either side with its membership unchanged.  Split on a shard slot
+    # (SlotExchange, in-process or behind a worker proxy).  Not part of the
+    # delta's identity: an inverse or netted delta says nothing about it.
     touched: TouchedFacts = field(default=((), ()), compare=False)
 
     def __bool__(self) -> bool:
@@ -275,6 +276,10 @@ class ExchangeFront:
         self, query: AnyQuery, route: str, relations: list[str], cache_outcome: str
     ) -> tuple[str, dict[str, Any]]:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the exchange owns (a sharded exchange: its worker
+        pool and processes).  A flat exchange owns nothing to release."""
 
     @property
     def mapping(self):
@@ -800,24 +805,6 @@ class MaterializedExchange(ExchangeFront):
             touched=None if touched is None else (tuple(touched[0]), tuple(touched[1])),
         )
 
-    def split_touched(self, applied: AppliedDelta) -> TouchedFacts:
-        """``applied.touched`` split by membership in the target now:
-        ``(present, absent)``, each fact once, or ``None`` when unknown.
-
-        Part of the shard surface: called right after ``apply_delta`` by the
-        sharded front (or inside a worker process, whose proxy returns the
-        split it shipped), it turns the unchecked record into the exact
-        change the merged target view folds in.
-        """
-        if applied.touched is None:
-            return None
-        target = self._target
-        present: dict[Fact, None] = {}
-        absent: dict[Fact, None] = {}
-        for fact in (*applied.touched[0], *applied.touched[1]):
-            (present if fact in target else absent)[fact] = None
-        return tuple(present), tuple(absent)
-
     def _undo_source_update(self, to_remove: list[Fact], to_restore: list[Fact]) -> None:
         """Roll the exchange back to its pre-update state after a failed chase.
 
@@ -1001,10 +988,37 @@ class MaterializedExchange(ExchangeFront):
 
 
 class SlotExchange(MaterializedExchange):
-    """A shard slot: monotone queries are answered over the maintained target
-    (its indexes stay warm across writes), and no core is ever computed.
-    Sound by Proposition 3: the sharded front only unions the slots'
-    null-free answers, the same over a universal solution as over its core."""
+    """A shard slot: an evaluator behind the surface the sharded front uses.
 
-    def _monotone_route(self, query: AnyQuery) -> str:
-        return "target"
+    :meth:`answer` evaluates a monotone query over the maintained target
+    (its indexes stay warm across writes), with no core and no cache.  Sound
+    by Proposition 3: the front only unions null-free answers, the same over
+    a universal solution as over its core; and the front asks a slot only
+    when its own partial answer is missing or stale, so a slot cache under
+    the same versions could never hit.  :meth:`apply_delta` reports the
+    touched target facts split by membership, for the front's merged view.
+    """
+
+    def answer(self, query: AnyQuery) -> AnswerOutcome:
+        answers = self._evaluate("target", query, [])
+        return AnswerOutcome(frozenset(answers), "monotone", "target", False)
+
+    def apply_delta(
+        self,
+        added: Iterable[tuple[str, Iterable[Any]]] = (),
+        removed: Iterable[tuple[str, Iterable[Any]]] = (),
+    ) -> AppliedDelta:
+        """:meth:`MaterializedExchange.apply_delta`, with ``touched`` split
+        by membership in the target now: ``(present, absent)``, each fact
+        once, or ``None`` when unknown."""
+        applied = super().apply_delta(added=added, removed=removed)
+        if applied.touched is None:
+            return applied
+        target = self._target
+        present: dict[Fact, None] = {}
+        absent: dict[Fact, None] = {}
+        for fact in (*applied.touched[0], *applied.touched[1]):
+            (present if fact in target else absent)[fact] = None
+        return AppliedDelta(
+            applied.added, applied.removed, (tuple(present), tuple(absent))
+        )

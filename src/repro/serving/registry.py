@@ -181,9 +181,8 @@ class ScenarioRegistry:
 
     def deregister(self, name: str) -> None:
         exchange = self._scenarios.pop(name, None)
-        close = getattr(exchange, "close", None)
-        if close is not None:  # a sharded exchange owns a worker pool
-            close()
+        if exchange is not None:
+            exchange.close()
         key = self._scenario_keys.pop(name, None)
         if key is not None and key not in self._scenario_keys.values():
             self._compilations.pop(key, None)

@@ -41,10 +41,11 @@ reports.
   same mechanism service transactions use across scenarios).
 * **Monotone queries** evaluate *scatter-gather* when the query itself is
   provably intra-shard (same key-connectedness test as STD bodies, plus
-  single-atom and residual-only cases): every shard answers in parallel
-  over its own maintained target and the answer sets are unioned.  A slot
-  keeps no core: by Proposition 3 null-free UCQ answers are the same over
-  a universal solution as over its core.  The union is the null-aware
+  single-atom and residual-only cases): every shard asked evaluates in
+  parallel over its own maintained target and the answer sets are
+  unioned.  A slot is an evaluator only: it keeps no core (by
+  Proposition 3 null-free UCQ answers are the same over a universal
+  solution as over its core) and no cache.  The union is the null-aware
   dedup: certain answers are null-free and per-shard nulls are disjoint,
   so no cross-shard identification could create or merge answers.
   Queries that may join across the partition fall back to a
@@ -56,10 +57,11 @@ reports.
   wrongly merge).
 * **DEQA / non-monotone queries** evaluate over the maintained **merged
   source view** — identical to the unsharded path.
-* **Caching**: one top-level certain-answer cache guarded by the *composed*
-  version vector — per-shard per-relation counters concatenated — so an
-  update to any shard stales exactly the queries that read a touched
-  relation, on any shard.
+* **Caching** lives here, in two tiers: one top-level certain-answer cache
+  guarded by the *composed* version vector — per-shard per-relation
+  counters concatenated — so an update to any shard stales exactly the
+  queries that read a touched relation, on any shard; and the per-slot
+  partial answers below.
 
 ``sharding_stats()`` snapshots per-shard sizes, the scatter/merged route
 counters, the partial answers reused and carried (below) and the batch
@@ -74,7 +76,10 @@ in a second cache, keyed ``(fingerprint, slot)`` and guarded by that slot's
 own versions (the routing epoch plus the slot's generation-salted entries:
 the composed guard is exactly the routing epoch followed by every slot's
 entries).  A top-level miss asks only the live slots whose partial is
-stale and unions the rest from the stored sets.
+stale and unions the rest from the stored sets.  These partials are the
+only cache of slot answers: a slot is asked only when its partial is
+missing or stale, so a cache inside the slot, guarded by the same
+versions, could never hit.
 
 A committed batch then *carries* a partial of a touched slot forward —
 restamps its guard from the slot's pre-batch to its post-batch versions —
@@ -133,7 +138,6 @@ from repro.serving.elastic import (
     plan_reshard,
 )
 from repro.serving.materialized import (
-    AnswerOutcome,
     AppliedDelta,
     ExchangeFront,
     Fact,
@@ -163,14 +167,15 @@ __all__ = ["ShardedExchange", "ShardingStats"]
 
 def _apply_reporting(
     added: list[Fact], removed: list[Fact]
-) -> Callable[[Any], tuple[AppliedDelta, int, TouchedFacts]]:
-    """A per-shard apply call that also returns the egd replays it cost and
-    the target facts it touched, both read off the backend that served it."""
+) -> Callable[[Any], tuple[AppliedDelta, int]]:
+    """A per-shard apply call that also returns the egd replays it cost, read
+    off the backend that served it.  The slot's ``touched`` record is already
+    split into ``(present, absent)``."""
 
-    def call(shard: Any) -> tuple[AppliedDelta, int, TouchedFacts]:
+    def call(shard: Any) -> tuple[AppliedDelta, int]:
         before = shard.update_stats.replays
         applied = shard.apply_delta(added=added, removed=removed)
-        return applied, shard.update_stats.replays - before, shard.split_touched(applied)
+        return applied, shard.update_stats.replays - before
 
     return call
 
@@ -263,8 +268,7 @@ class ShardingStats:
     # Execution backend: "thread" = in-process shards on the thread pool,
     # "process" = one worker process per shard (repro.serving.workers).
     worker_mode: str = "thread"
-    # Worker deaths/timeouts; each one swapped its slot for an in-process
-    # exchange.
+    # Worker deaths; each one swapped its slot for an in-process exchange.
     worker_failures: int = 0
     # The live routing table's epoch and bucket count (repro.serving.elastic);
     # the epoch advances once per committed reshard.
@@ -308,7 +312,6 @@ class ShardedExchange(ExchangeFront):
         max_workers: int | None = None,
         force_residual: bool = False,
         worker_mode: str = "thread",
-        worker_timeout: float | None = None,
     ):
         if worker_mode not in ("thread", "process"):
             raise ValueError(
@@ -318,9 +321,7 @@ class ShardedExchange(ExchangeFront):
         super().__init__(name, compiled, source, cache_capacity)
         self.plan = analyse_shardability(compiled, partition, force_residual=force_residual)
         self._max_chase_steps = max_chase_steps
-        self._cache_capacity = cache_capacity
         self._worker_mode = worker_mode
-        self._worker_timeout = worker_timeout
         self._worker_failures = 0
         # Per slot: worker deaths.  Salts the slot's version entries (a
         # replacement restarts its counters) and is the ``gen=N`` of
@@ -380,7 +381,7 @@ class ShardedExchange(ExchangeFront):
                 shards.append(self._make_shard(i, shard_source))
         except BaseException:
             for shard in shards:
-                self._close_shard(shard)
+                shard.close()
             raise
         self.shards: tuple[Any, ...] = tuple(shards)
         self._pool = ThreadPoolExecutor(
@@ -404,8 +405,6 @@ class ShardedExchange(ExchangeFront):
                     self.compiled,
                     shard_source,
                     max_chase_steps=self._max_chase_steps,
-                    cache_capacity=self._cache_capacity,
-                    timeout=self._worker_timeout,
                 )
             except WorkerGone as gone:
                 self._note_worker_death(index, str(gone))
@@ -417,14 +416,7 @@ class ShardedExchange(ExchangeFront):
             self.compiled,
             shard_source,
             max_chase_steps=self._max_chase_steps,
-            cache_capacity=self._cache_capacity,
         )
-
-    @staticmethod
-    def _close_shard(shard: Any) -> None:
-        close = getattr(shard, "close", None)
-        if close is not None:  # process shards own a worker process
-            close()
 
     def _note_worker_death(self, index: int, reason: str) -> None:
         with self._counter_mutex:
@@ -453,7 +445,7 @@ class ShardedExchange(ExchangeFront):
                 shards[index] = shard
             self.shards = tuple(shards)
         for shard in old:
-            self._close_shard(shard)
+            shard.close()
 
     def _replace_dead(
         self, index: int, dead: Any, reason: str, shadows: Optional[dict] = None
@@ -476,7 +468,7 @@ class ShardedExchange(ExchangeFront):
                 self._swap_shards({index: local})
             else:
                 shadows[index] = local
-                self._close_shard(dead)
+                dead.close()
             self._note_worker_death(index, reason)
             return local
 
@@ -501,9 +493,8 @@ class ShardedExchange(ExchangeFront):
         """Submit one :meth:`_on_shard` call per ``(index, call, attrs)`` job.
 
         Traced, each call runs under a ``span`` named after its shard, with
-        ``attrs`` and (for answers) the shard's route, parented to the
-        caller's current span.  Untraced, this is the batch's or query's one
-        ``TRACER.enabled`` read.
+        ``attrs``, parented to the caller's current span.  Untraced, this is
+        the batch's or query's one ``TRACER.enabled`` read.
         """
         if not TRACER.enabled:
             return [
@@ -514,11 +505,8 @@ class ShardedExchange(ExchangeFront):
 
         def traced(index: int, call: Callable[[Any], Any], attrs: dict) -> Any:
             with TRACER.context(parent):
-                with TRACER.span(span, shard=self._shard_name(index), **attrs) as shard_span:
-                    result = self._on_shard(index, call)
-                    if isinstance(result, AnswerOutcome):
-                        shard_span.annotate(route=result.route, cached=result.cached)
-                    return result
+                with TRACER.span(span, shard=self._shard_name(index), **attrs):
+                    return self._on_shard(index, call)
 
         return [self._pool.submit(traced, *job) for job in jobs]
 
@@ -645,7 +633,7 @@ class ShardedExchange(ExchangeFront):
         their own futures)."""
         self._pool.shutdown(wait=False)
         for shard in self.shards:
-            self._close_shard(shard)
+            shard.close()
 
     # -- updates -----------------------------------------------------------
 
@@ -708,12 +696,11 @@ class ShardedExchange(ExchangeFront):
         ]
         futures = self._fan_out("shard.apply_delta", jobs)
         applied: dict[int, AppliedDelta] = {}
-        reports: dict[int, TouchedFacts] = {}
         replays = 0
         failure: Optional[BaseException] = None
         for (index, _, _), future in zip(jobs, futures):
             try:
-                applied[index], shard_replays, reports[index] = future.result()
+                applied[index], shard_replays = future.result()
                 replays += shard_replays
             except Exception as exc:  # noqa: BLE001 - collected, re-raised below
                 if failure is None:
@@ -767,6 +754,7 @@ class ShardedExchange(ExchangeFront):
         self._epoch += 1
         with self._counter_mutex:
             self._fanout_applies += len(futures)
+        reports = {index: delta.touched for index, delta in applied.items()}
         self._advance_merged(view, reports)
         if before:
             self._carry_slot_answers(before, reports)
@@ -941,7 +929,7 @@ class ShardedExchange(ExchangeFront):
                 )
         except BaseException as exc:
             for shadow in shadows.values():
-                self._close_shard(shadow)
+                shadow.close()
             FLIGHT_RECORDER.record(
                 "reshard_abort",
                 scenario=self.name,
@@ -1002,7 +990,7 @@ class ShardedExchange(ExchangeFront):
     def abort_reshard(self, pending: PendingReshard, reason: str = "aborted") -> None:
         """Discard a prepared reshard — live shards and routing never changed."""
         for shadow in pending.shadows.values():
-            self._close_shard(shadow)
+            shadow.close()
         pending.shadows.clear()
         FLIGHT_RECORDER.record(
             "reshard_abort",
@@ -1095,11 +1083,10 @@ class ShardedExchange(ExchangeFront):
         return "scatter" if self.plan.scatter_safe(query) else "merged"
 
     def _evaluate(self, route: str, query: AnyQuery, relations: list[str]) -> set[tuple]:
-        """Scatter: parallel per-shard :meth:`MaterializedExchange.answer`
-        (each slot evaluates over its own maintained target, behind its own
-        cache) for the slots without a fresh partial answer, unioned with
-        the fresh partials.  Merged: naive evaluation over the merged target
-        view."""
+        """Scatter: parallel per-shard :meth:`SlotExchange.answer` (each slot
+        evaluates over its own maintained target) for the slots without a
+        fresh partial answer, unioned with the fresh partials.  Merged: naive
+        evaluation over the merged target view."""
         if route == "merged":
             with TRACER.span("exchange.evaluate", route=route):
                 answers = certain_answers_naive(query, self._merged())

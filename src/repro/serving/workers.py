@@ -8,17 +8,21 @@ to the parent :class:`~repro.serving.sharding.ShardedExchange`.  CPU-bound
 join evaluation — the per-shard trigger matching of ``apply_delta`` and the
 per-shard query answering of the scatter route — then runs outside the
 parent's GIL, which is what turns the scatter fan-out into a real speedup on
-CPU-bound workloads instead of overlapped waiting.
+CPU-bound workloads instead of overlapped waiting.  A worker only evaluates:
+the answer caches, the per-slot partial answers and the pruning all stay in
+the parent's sharded front.
 
 Wire format
 -----------
 Requests and replies are plain tuples of facts, queries and answer sets,
-pickled by :mod:`multiprocessing` itself.  The only identity the paper needs
-across the boundary is that of labelled nulls, and a :class:`Null` is its
-``ident``: each worker re-seeds ``Null._counter`` into a disjoint ident range
-(:data:`NULL_IDENT_STRIDE`), so chase nulls minted in different processes can
-never collide, and ``Null.__reduce__`` rebuilds a null from its label and
-ident without minting a fresh one.
+pickled by :mod:`multiprocessing` itself.  An ``answer`` reply is the
+answer set over the worker's target; an ``apply`` reply is the applied
+facts plus the touched target facts, split by membership.  The only
+identity the paper needs across the boundary is that of labelled nulls, and
+a :class:`Null` is its ``ident``: each worker re-seeds ``Null._counter``
+into a disjoint ident range (:data:`NULL_IDENT_STRIDE`), so chase nulls
+minted in different processes can never collide, and ``Null.__reduce__``
+rebuilds a null from its label and ident without minting a fresh one.
 
 Every reply carries a **state summary** (target version vector, layer sizes,
 update-stat counters), which the parent caches — size and version reads on a
@@ -34,7 +38,7 @@ Failure model
 A worker that *rejects* a batch (egd conflict, blown step budget) has already
 rolled itself back; the proxy re-raises :class:`ServingError` and the
 sharded all-or-nothing unwind proceeds exactly as in-process.  A worker that
-*dies* (killed, crashed, timed out) surfaces as :class:`WorkerGone`, and the
+*dies* (killed, crashed) surfaces as :class:`WorkerGone`, and the
 front swaps the slot: :class:`~repro.serving.sharding.ShardedExchange`
 replaces the proxy with an in-process exchange built from the proxy's
 mirrored source slice — kept pre-batch-exact, it only advances on
@@ -55,7 +59,6 @@ from repro.serving.materialized import (
     AppliedDelta,
     ServingError,
     SlotExchange,
-    TouchedFacts,
     UpdateStats,
 )
 
@@ -67,7 +70,7 @@ NULL_IDENT_STRIDE = 1 << 34
 
 
 class WorkerGone(Exception):
-    """The worker process died, hung past the timeout, or failed internally."""
+    """The worker process died or failed internally, or the proxy is closed."""
 
 
 # -- the worker process ------------------------------------------------------
@@ -142,7 +145,6 @@ def _worker_main(conn, index: int) -> None:
                         mapping,
                         dependencies,
                         max_chase_steps,
-                        cache_capacity,
                         schema,
                         facts,
                     ) = message
@@ -154,7 +156,6 @@ def _worker_main(conn, index: int) -> None:
                         compile_mapping(mapping, dependencies),
                         source,
                         max_chase_steps=max_chase_steps,
-                        cache_capacity=cache_capacity,
                     )
                     reply_ok(None)
                 elif kind == "apply":
@@ -165,18 +166,15 @@ def _worker_main(conn, index: int) -> None:
                         index,
                         lambda: exchange.apply_delta(added=added, removed=removed),
                     )
-                    # The touched target facts ride along split by membership
-                    # (None when unknown), for the front's merged view.
-                    reply_ok(
-                        (applied.added, applied.removed, exchange.split_touched(applied)),
-                        spans,
-                    )
+                    # The slot's touched target facts ride along, split by
+                    # membership (None when unknown), for the front's merged view.
+                    reply_ok((applied.added, applied.removed, applied.touched), spans)
                 elif kind == "answer":
                     _, query, trace = message
                     outcome, spans = _run_traced(
                         trace, "worker.answer", index, lambda: exchange.answer(query)
                     )
-                    reply_ok((outcome.answers, outcome.route, outcome.cached), spans)
+                    reply_ok(outcome.answers, spans)
                 elif kind == "facts":
                     reply_ok(tuple(exchange.target.facts()))
                 else:  # pragma: no cover - protocol mismatch guard
@@ -208,11 +206,12 @@ class ProcessShard:
     A plain proxy: every request does one round trip and returns the reply
     or raises :class:`WorkerGone` or :class:`ServingError`.  It duck-types the
     slice of the :class:`MaterializedExchange` surface the sharded exchange
-    uses — ``apply_delta``/``split_touched``/``answer``/``update_stats``/
-    ``source``/``target``/``target_size``/``target_relation_size``/
-    ``_target_versions``/``close`` — so the sharded exchange treats thread-
-    and process-backed shards identically.  ``answer`` evaluates over the
-    worker's maintained target (it hosts a ``SlotExchange``; no core).
+    uses — ``apply_delta``/``answer``/``update_stats``/``source``/``target``/
+    ``target_size``/``target_relation_size``/``_target_versions``/``close``
+    — so the sharded exchange treats thread- and process-backed shards
+    identically.  Like the :class:`SlotExchange` it hosts, ``answer``
+    evaluates over the worker's maintained target (no core, no cache) and
+    ``apply_delta`` reports the touched target facts split by membership.
     """
 
     def __init__(
@@ -222,8 +221,6 @@ class ProcessShard:
         compiled: CompiledMapping,
         source: Instance,
         max_chase_steps: int | None = None,
-        cache_capacity: int | None = None,
-        timeout: float | None = None,
     ):
         self.name = name
         self.index = index
@@ -232,7 +229,6 @@ class ProcessShard:
         # acknowledged commits, so it is pre-batch-exact whenever the worker
         # dies mid-batch — exactly what the front rebuilds the slot from.
         self.source = source.copy()
-        self._timeout = timeout
         self._io_lock = threading.Lock()
         # The last reply's state summary, and its version and relation-size
         # entries parsed once per reply: the scatter front reads them per query.
@@ -258,7 +254,6 @@ class ProcessShard:
                     compiled.mapping,
                     compiled.target_dependencies,
                     max_chase_steps,
-                    cache_capacity,
                     self.source.schema,
                     tuple(self.source.facts()),
                 )
@@ -272,7 +267,7 @@ class ProcessShard:
     def _request(self, message: tuple) -> Any:
         """One round trip; caches the reply's summary.
 
-        Raises :class:`WorkerGone` on death/timeout/internal failure (or a
+        Raises :class:`WorkerGone` on death or internal failure (or a
         closed proxy) and :class:`ServingError` when the worker rejected (and
         rolled back) the request — the two failure classes the callers treat
         differently.
@@ -283,10 +278,6 @@ class ProcessShard:
                 raise WorkerGone(f"shard worker {self.index} is closed")
             try:
                 conn.send(message)
-                if self._timeout is not None and not conn.poll(self._timeout):
-                    raise WorkerGone(
-                        f"shard worker {self.index} timed out after {self._timeout}s"
-                    )
                 reply = conn.recv()
             except (EOFError, OSError) as exc:
                 raise WorkerGone(f"shard worker {self.index} died: {exc}") from exc
@@ -309,7 +300,7 @@ class ProcessShard:
         added: Iterable[tuple[str, Iterable[Any]]] = (),
         removed: Iterable[tuple[str, Iterable[Any]]] = (),
     ) -> AppliedDelta:
-        applied_added, applied_removed, split = self._request(
+        applied_added, applied_removed, touched = self._request(
             (
                 "apply",
                 [(name, tuple(tup)) for name, tup in added],
@@ -321,16 +312,11 @@ class ProcessShard:
             self.source.discard(*fact)
         for fact in applied_added:
             self.source.add(*fact)
-        return AppliedDelta(added=applied_added, removed=applied_removed, touched=split)
-
-    def split_touched(self, applied: AppliedDelta) -> TouchedFacts:
-        """The worker already split the touched facts by membership (see
-        :meth:`MaterializedExchange.split_touched`); the reply carried it."""
-        return applied.touched
+        return AppliedDelta(added=applied_added, removed=applied_removed, touched=touched)
 
     def answer(self, query) -> AnswerOutcome:
-        answers, route, cached = self._request(("answer", query, TRACER.enabled))
-        return AnswerOutcome(answers, "monotone", route, cached)
+        answers = self._request(("answer", query, TRACER.enabled))
+        return AnswerOutcome(answers, "monotone", "target", False)
 
     @property
     def update_stats(self) -> UpdateStats:

@@ -155,6 +155,7 @@ def test_constant_key_queries_pin_their_worker_shard():
         "flat", compiled, workload.source, PartitionSpec(1), force_residual=True
     )
     try:
+        calls = count_answers(exchange)
         assert exchange.certain_answers(hot) == flat.certain_answers(hot)
         # Only the pinned worker (and possibly residual) evaluated: every
         # other worker's shard-level cache saw no traffic at all.
@@ -164,6 +165,8 @@ def test_constant_key_queries_pin_their_worker_shard():
             if index not in pinned
         ]
         assert all(shard.cache_stats.misses == 0 for shard in untouched)
+        # ...and the front asked none of them.
+        assert [calls[index] for index in range(4) if index not in pinned] == [0] * 3
     finally:
         exchange.close()
         flat.close()
@@ -1079,6 +1082,70 @@ def test_scatter_slots_answer_over_their_targets(mode, monkeypatch):
         assert stats.scenario("sharded").core_tuples is None
     finally:
         service.deregister("sharded")
+
+
+def record_applies(exchange):
+    """Record each slot's ``apply_delta`` results per slot (a recording proxy
+    installed on each backend, like :func:`count_answers`)."""
+    applied = [[] for _ in exchange.shards]
+    for index, shard in enumerate(exchange.shards):
+
+        def recorded(*args, _apply=shard.apply_delta, _index=index, **kwargs):
+            delta = _apply(*args, **kwargs)
+            applied[_index].append(delta)
+            return delta
+
+        shard.apply_delta = recorded
+    return applied
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_slots_evaluate_without_a_cache(mode):
+    """A slot is an evaluator: the front's partial answers are the only
+    cache of slot answers, so no slot stores one, and each slot's
+    ``apply_delta`` reports its touched target facts split by membership
+    (``present`` in its target now, ``absent`` not).  Every answer still
+    equals the unsharded exchange's after every batch."""
+    workload = skewed_workload(
+        customers=16, accounts=80, batches=10, batch_size=4, zipf_s=1.2, seed=13
+    )
+    compiled = compile_mapping(workload.mapping, workload.target_dependencies)
+    flat = MaterializedExchange("flat", compiled, workload.source)
+    exchange = ShardedExchange(
+        "slots", compiled, workload.source, PartitionSpec(2), worker_mode=mode
+    )
+    assert {exchange._monotone_route(q) for q in workload.queries} == {"scatter", "merged"}
+    applied = record_applies(exchange)
+    split = 0
+
+    def check():
+        nonlocal split
+        assert_answers_match(exchange, flat, workload.queries)
+        if mode == "thread":
+            for shard in exchange.shards:
+                assert shard.cache_stats.stores == 0
+                assert shard.cache_entries == 0
+        for shard, deltas in zip(exchange.shards, applied):
+            target = set(shard.target.facts())
+            for delta in deltas:
+                assert delta.touched is not None  # tgds only: never unknown
+                present, absent = map(set, delta.touched)
+                assert present <= target
+                assert not absent & target
+                assert not present & absent
+                split += len(present) + len(absent)
+            deltas.clear()
+
+    try:
+        check()
+        for added, removed in workload.batches:
+            for target in (flat, exchange):
+                target.apply_delta(added=added, removed=removed)
+            check()
+        assert split > 0
+        assert exchange.sharding_stats().scatter_queries > 0
+    finally:
+        exchange.close()
 
 
 def test_a_boolean_scatter_query_over_process_shards_returns_the_empty_tuple():
