@@ -172,16 +172,14 @@ def test_disabled_overhead_scatter_under_5pct(benchmark):
         service.query(QueryRequest("sk", query))
 
     def one_round():
-        # Drop the top-level cache, the front's per-slot partial answers
-        # *and* the per-shard caches so every request does the full
+        # Drop the top-level cache and the front's per-slot partial answers
+        # (the only caches of slot answers) so every request does the full
         # scatter: fan out, evaluate per shard, merge — the work the
         # EXP-SHARDING gates measure.  All-hits would shrink the
         # denominator to a couple of dict probes and make this gate about
         # timer noise rather than instrumentation.
         exchange._cache.invalidate_all()
         exchange._slot_answers.invalidate_all()
-        for shard in exchange.shards:
-            shard._cache.invalidate_all()
         for query in scatter_queries:
             service.query(QueryRequest("sk", query))
 

@@ -46,7 +46,7 @@ tracing (``TRACER``), an always-on metrics registry (``METRICS``, exported
 by ``service.metrics()``), a flight recorder of rare events, and
 ``service.explain(request)`` reporting the dispatch route a query *would*
 take and why (scatter verdicts, cache peek, greedy join order) without
-evaluating anything.
+evaluating anything (import those from :mod:`repro.obs` itself).
 
 Quickstart::
 
@@ -83,19 +83,9 @@ Library code embedding a single-threaded exchange can keep using
 the update entry point there.
 """
 
-from repro.analysis.compiled import CompiledMapping, CompiledSTD, compile_mapping
-from repro.analysis.shardability import PartitionSpec, ShardPlan, analyse_shardability
-from repro.obs import (
-    FLIGHT_RECORDER,
-    METRICS,
-    TRACER,
-    CacheProbe,
-    FlightEvent,
-    JoinStep,
-    QueryExplain,
-    ScatterRule,
-    ShardFanout,
-)
+from repro.analysis.compiled import compile_mapping
+from repro.analysis.shardability import PartitionSpec, analyse_shardability
+from repro.obs import QueryExplain
 from repro.serving.cache import (
     CacheStats,
     CertainAnswerCache,
@@ -135,15 +125,7 @@ from repro.serving.service import (
 from repro.serving.sharding import ShardedExchange, ShardingStats
 
 __all__ = [
-    "FLIGHT_RECORDER",
-    "METRICS",
-    "TRACER",
-    "CacheProbe",
-    "FlightEvent",
-    "JoinStep",
     "QueryExplain",
-    "ScatterRule",
-    "ShardFanout",
     "CacheStats",
     "CertainAnswerCache",
     "query_fingerprint",
@@ -166,8 +148,6 @@ __all__ = [
     "MaterializedExchange",
     "ServingError",
     "UpdateStats",
-    "CompiledMapping",
-    "CompiledSTD",
     "ScenarioRegistry",
     "compile_mapping",
     "mapping_fingerprint",
@@ -180,7 +160,6 @@ __all__ = [
     "UpdateRequest",
     "UpdateResult",
     "PartitionSpec",
-    "ShardPlan",
     "ShardedExchange",
     "ShardingStats",
     "analyse_shardability",

@@ -1,6 +1,11 @@
 """Long-lived materialized exchanges: incremental state plus cached answers.
 
-A :class:`MaterializedExchange` keeps, for one registered scenario:
+A :class:`SlotExchange` is one scenario's maintained materialization (the
+first three layers below) — exactly what a shard slot is.  The flat
+:class:`MaterializedExchange` is that plus the core and the query front,
+:class:`ExchangeFront` (normalisation, version guard, answer cache, DEQA
+branch, ``explain``), which it shares with
+:class:`~repro.serving.sharding.ShardedExchange`.  Together they keep:
 
 * the live **source** instance (owned copy; mutated only through the update
   API below);
@@ -12,17 +17,18 @@ A :class:`MaterializedExchange` keeps, for one registered scenario:
   justifying trigger disappears);
 * the **target** — the canonical layer chased with the scenario's target
   dependencies (the two coincide when there are none);
-* the **core** of the target, recomputed lazily by the block-based engine of
-  :mod:`repro.serving.core_engine` whenever the target has changed since the
-  cached core was built — the core suffices for answering unions of
-  conjunctive queries, which is what the serving layer evaluates against it;
-* a version-keyed :class:`~repro.serving.cache.CertainAnswerCache` so repeated
-  queries are O(lookup) and an update invalidates only the queries that can
-  observe the touched relations.
+* the **core** of the target (flat exchange only), recomputed lazily by the
+  block-based engine of :mod:`repro.serving.core_engine` whenever the target
+  has changed since the cached core was built — the core suffices for
+  answering unions of conjunctive queries, which is what the serving layer
+  evaluates against it;
+* a version-keyed :class:`~repro.serving.cache.CertainAnswerCache` (the
+  front's) so repeated queries are O(lookup) and an update invalidates only
+  the queries that can observe the touched relations.
 
-Update propagation runs through one unified entry point,
-:meth:`MaterializedExchange.apply_delta`, taking a *mixed* batch of source
-additions and retractions and paying each maintenance phase **once**:
+Update propagation runs through one unified entry point, ``apply_delta``
+(written once, as :meth:`SlotExchange._apply`), taking a *mixed* batch of
+source additions and retractions and paying each maintenance phase **once**:
 
 1. one *trigger re-evaluation round* — retraction candidates are enumerated
    semi-naively over the pre-removal source (a stored trigger can only die if
@@ -54,19 +60,14 @@ philosophy: additions *and* removals are repaired block-locally by
 :func:`~repro.serving.core_engine.core_of_delta`, with full recomputation
 reserved for egd rewrites.
 
-Queries go through :class:`ExchangeFront`, the query front this class shares
-with :class:`~repro.serving.sharding.ShardedExchange`: normalisation, the
-version guard, the answer cache and the DEQA branch are written there once,
-and each exchange supplies only its version vector and how a monotone cache
-miss is routed and evaluated.  Service code goes through
-:class:`repro.serving.service.ExchangeService`, which adds typed
-request/response objects, transactions, and per-scenario reader/writer
-locking on top of this class.  Concurrent *queries* against one exchange are
-safe by themselves on CPython — the answer cache and the core computation
-are mutex-guarded, and the instances' lazy index builds publish only
-fully-built structures (redundant cold builds are possible, torn reads are
-not); updates require the exclusive access the service's write lock
-provides.
+Service code goes through :class:`repro.serving.service.ExchangeService`,
+which adds typed request/response objects, transactions, and per-scenario
+reader/writer locking on top of these classes.  Concurrent *queries*
+against one exchange are safe by themselves on CPython — the answer cache
+and the core computation are mutex-guarded, and the instances' lazy index
+builds publish only fully-built structures (redundant cold builds are
+possible, torn reads are not); updates require the exclusive access the
+service's write lock provides.
 """
 
 from __future__ import annotations
@@ -110,10 +111,11 @@ from repro.serving.core_engine import core_of_delta, core_of_indexed
 
 Fact = tuple[str, tuple]
 TriggerKey = tuple[int, tuple]
-#: Target facts a batch touched as two sides — ``(added, removed)`` as
-#: recorded on the flat exchange, ``(present, absent)`` split by membership
-#: on a shard slot — or ``None`` when an egd rewrite or a replay leaves them
-#: unknown.
+#: Target facts a batch touched as two sides — ``(added, removed)`` raw
+#: from :meth:`SlotExchange._apply` (what the flat exchange returns),
+#: ``(present, absent)`` split by membership from
+#: :meth:`SlotExchange.apply_delta` — or ``None`` when an egd rewrite or a
+#: replay leaves them unknown.
 TouchedFacts = Optional[tuple[tuple[Fact, ...], tuple[Fact, ...]]]
 
 
@@ -142,7 +144,7 @@ class UpdateStats:
 
 @dataclass(frozen=True)
 class AppliedDelta:
-    """The net source mutation one :meth:`MaterializedExchange.apply_delta` made.
+    """The net source mutation one ``apply_delta`` made.
 
     ``added``/``removed`` list the source facts actually inserted/deleted
     (inputs already present/absent are dropped during normalisation).
@@ -156,10 +158,11 @@ class AppliedDelta:
     added: tuple[Fact, ...] = ()
     removed: tuple[Fact, ...] = ()
     # The target facts the batch's maintenance touched (see TouchedFacts).
-    # Raw on the flat exchange: recorded, not checked, so a fact may sit on
-    # either side with its membership unchanged.  Split on a shard slot
-    # (SlotExchange, in-process or behind a worker proxy).  Not part of the
-    # delta's identity: an inverse or netted delta says nothing about it.
+    # Raw from SlotExchange._apply, and so from the flat exchange: recorded,
+    # not checked, so a fact may sit on either side with its membership
+    # unchanged.  Split from SlotExchange.apply_delta (a shard slot,
+    # in-process or behind a worker proxy).  Not part of the delta's
+    # identity: an inverse or netted delta says nothing about it.
     touched: TouchedFacts = field(default=((), ()), compare=False)
 
     def __bool__(self) -> bool:
@@ -239,8 +242,10 @@ class ExchangeFront:
     naive evaluation over a universal solution or its core (Proposition 3),
     cached under the target version vector.  Any other query goes through
     the DEQA search over the live source (Theorem 3), cached under the
-    source version vector, and is refused under target dependencies.  A
-    subclass supplies only what differs between its states:
+    source version vector, and is refused under target dependencies.  The
+    front owns only the answer cache; an exchange built on it supplies
+    ``name``, ``compiled`` and the live ``source``, plus what differs
+    between its states:
 
     * :meth:`_target_versions` — the version vector guarding monotone entries;
     * :meth:`_monotone_route` — the route a monotone cache miss takes, the
@@ -250,36 +255,8 @@ class ExchangeFront:
       monotone :class:`~repro.obs.explain.QueryExplain`.
     """
 
-    def __init__(
-        self,
-        name: str,
-        compiled: CompiledMapping,
-        source: Instance,
-        cache_capacity: int | None,
-    ):
-        self.name = name
-        self.compiled = compiled
-        self.source = source.copy()
+    def __init__(self, cache_capacity: int | None):
         self._cache = CertainAnswerCache(capacity=cache_capacity)
-        self.update_stats = UpdateStats()
-
-    def _target_versions(self, relations: Iterable[str] | None = None) -> VersionVector:
-        raise NotImplementedError
-
-    def _monotone_route(self, query: AnyQuery) -> str:
-        raise NotImplementedError
-
-    def _evaluate(self, route: str, query: AnyQuery, relations: list[str]) -> set[tuple]:
-        raise NotImplementedError
-
-    def _explain_monotone(
-        self, query: AnyQuery, route: str, relations: list[str], cache_outcome: str
-    ) -> tuple[str, dict[str, Any]]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release what the exchange owns (a sharded exchange: its worker
-        pool and processes).  A flat exchange owns nothing to release."""
 
     @property
     def mapping(self):
@@ -466,13 +443,19 @@ class ExchangeFront:
         )
 
 
-class MaterializedExchange(ExchangeFront):
-    """One scenario's materialized state (see module docstring)."""
+class SlotExchange:
+    """One scenario's maintained materialization — what a shard slot is.
 
-    # The shared entry point, bound again as this class's own attribute so
-    # that wrapping ``MaterializedExchange.answer`` (profilers, layer timers)
-    # leaves the sharded front's binding untouched, and vice versa.
-    answer = ExchangeFront.answer
+    Source, canonical layer and chased target, maintained by
+    :meth:`apply_delta` with all-or-nothing rollback, plus the version
+    vector and sizes the sharded front reads.  :meth:`answer` evaluates over
+    the target (its indexes stay warm across writes), with no core and no
+    cache: the front unions only null-free answers, the same over a
+    universal solution as over its core (Proposition 3), and asks a slot
+    only when its own partial answer is missing or stale, so a slot cache
+    could never hit.  :meth:`apply_delta` reports the touched target facts
+    split by membership, for the front's merged view.
+    """
 
     def __init__(
         self,
@@ -480,9 +463,11 @@ class MaterializedExchange(ExchangeFront):
         compiled: CompiledMapping,
         source: Instance,
         max_chase_steps: int | None = None,
-        cache_capacity: int | None = None,
     ):
-        super().__init__(name, compiled, source, cache_capacity)
+        self.name = name
+        self.compiled = compiled
+        self.source = source.copy()
+        self.update_stats = UpdateStats()
         # None = unbounded: the compiled mapping's weak-acyclicity gate
         # guarantees chase termination, so scenarios are not size-capped by a
         # fixed budget; set a bound to trade completeness for latency control.
@@ -494,15 +479,6 @@ class MaterializedExchange(ExchangeFront):
         self._assignments: dict[int, dict[TriggerKey, dict[Var, Any]]] = {
             cstd.index: {} for cstd in compiled.stds
         }
-        # Serialises lazy core (re)computation between concurrent readers;
-        # updates are excluded wholesale by the service's write lock.
-        self._core_mutex = threading.Lock()
-        self._core: Optional[Instance] = None
-        self._core_versions: Optional[VersionVector] = None
-        # Net (added, removed) target facts since the cached core was
-        # computed, or None when the target changed in a way (egd rewrite, no
-        # core yet) that requires a full core recomputation.
-        self._core_delta: Optional[tuple[list[Fact], list[Fact]]] = None
         # Derivation bookkeeping of the chased target layer, driving
         # delete-and-rederive; None when there are no target dependencies
         # (the canonical layer's support counts already repair everything).
@@ -546,51 +522,6 @@ class MaterializedExchange(ExchangeFront):
         prune empty shards from a fan-out without materializing any view.
         """
         return len(self._target.relation(name))
-
-    @property
-    def core_size(self) -> Optional[int]:
-        """Tuples in the cached core, or ``None`` if no core was computed yet.
-
-        Introspection only (``service.stats()``): reading it never triggers
-        the computation :meth:`core` would.
-        """
-        return len(self._core) if self._core is not None else None
-
-    def core(self) -> Instance:
-        """The core of the target, maintained rather than recomputed.
-
-        After additions *and* removals the cached core is repaired by
-        :func:`~repro.serving.core_engine.core_of_delta`: only blocks whose
-        relations gained or lost facts are re-folded (removals first restore
-        the previously folded-away facts of those blocks, since a deletion
-        may have invalidated the fold that justified dropping them).  Only
-        egd rewrites — whose substitutions touch unrecorded relations — fall
-        back to a full block-based recomputation.
-
-        Thread-safe against concurrent readers: the computation runs under a
-        mutex (when the cached core is current, the cost is one version-vector
-        comparison).
-        """
-        with self._core_mutex:
-            versions = self._target_versions()
-            if self._core is not None and self._core_versions == versions:
-                return self._core
-            if self._core is not None and self._core_delta is not None:
-                added, removed = self._core_delta
-                # Addition-only deltas omit the target on purpose:
-                # serving-layer additions never reuse a folded-away null
-                # (chase nulls are fresh; a justification null returns only
-                # after its facts left the target, i.e. through a removal), so
-                # the reused-null scan core_of_delta runs when given a target
-                # would be pure overhead.
-                self._core = core_of_delta(
-                    self._core, added, removed, target=self._target if removed else None
-                )
-            else:
-                self._core = core_of_indexed(self._target)
-            self._core_versions = versions
-            self._core_delta = ([], [])
-            return self._core
 
     # -- trigger bookkeeping ----------------------------------------------
 
@@ -669,9 +600,28 @@ class MaterializedExchange(ExchangeFront):
         added: Iterable[tuple[str, Iterable[Any]]] = (),
         removed: Iterable[tuple[str, Iterable[Any]]] = (),
     ) -> AppliedDelta:
+        """:meth:`_apply`, with ``touched`` split by membership in the target
+        now: ``(present, absent)``, each fact once, or ``None`` when unknown."""
+        applied = self._apply(added, removed)
+        if applied.touched is None:
+            return applied
+        target = self._target
+        present: dict[Fact, None] = {}
+        absent: dict[Fact, None] = {}
+        for fact in (*applied.touched[0], *applied.touched[1]):
+            (present if fact in target else absent)[fact] = None
+        return AppliedDelta(
+            applied.added, applied.removed, (tuple(present), tuple(absent))
+        )
+
+    def _apply(
+        self,
+        added: Iterable[tuple[str, Iterable[Any]]],
+        removed: Iterable[tuple[str, Iterable[Any]]],
+    ) -> AppliedDelta:
         """Apply one mixed batch of source additions and retractions atomically.
 
-        The single update entry point (see the module docstring for the
+        The body of every ``apply_delta`` (see the module docstring for the
         three-phase structure): however mixed the batch, the materialization
         pays exactly one trigger re-evaluation round, one target repair, and
         one cache-invalidation round.  Inputs are normalised against the
@@ -683,7 +633,8 @@ class MaterializedExchange(ExchangeFront):
         On a failed repair (egd conflict, blown step budget) the batch is
         rejected whole: :class:`ServingError` propagates after the source,
         canonical layer and target have been rolled back to the pre-batch
-        scenario.
+        scenario.  ``touched`` is the repair's raw ``(added, removed)``
+        record (see :data:`TouchedFacts`).
         """
         to_add, to_remove = normalise_delta(self.source, added, removed)
         if not to_add and not to_remove:
@@ -794,11 +745,6 @@ class MaterializedExchange(ExchangeFront):
             with TRACER.span("exchange.rollback", scenario=self.name):
                 self._undo_source_update(to_remove=to_add, to_restore=to_remove)
             raise
-        if touched is None:
-            self._core_delta = None
-        elif self._core_delta is not None:
-            self._core_delta[0].extend(touched[0])
-            self._core_delta[1].extend(touched[1])
         return AppliedDelta(
             added=tuple(to_add),
             removed=tuple(to_remove),
@@ -826,12 +772,6 @@ class MaterializedExchange(ExchangeFront):
             self._resync_std(cstd)
         if self.compiled.target_dependencies:
             self._install_target(self._full_chase(self._canonical))
-        self._core_delta = None
-        # A failed update may have bumped versions of relations that are now
-        # back to their old contents; dropping every cached answer is cheaper
-        # (and more obviously safe) than auditing version continuity across a
-        # half-applied update, and rollbacks are rare.
-        self._cache.invalidate_all()
 
     def _install_target(self, fresh: Instance) -> None:
         """Make the live target equal to ``fresh`` (a from-scratch chase) in
@@ -948,6 +888,113 @@ class MaterializedExchange(ExchangeFront):
             (name, self._target.version(name)) for name in sorted(set(relations))
         )
 
+    def answer(self, query: AnyQuery) -> AnswerOutcome:
+        """Evaluate a monotone ``query`` over the maintained target."""
+        with TRACER.span("exchange.evaluate", route="target"):
+            answers = certain_answers_naive(query, self._target)
+        return AnswerOutcome(frozenset(answers), "monotone", "target", False)
+
+    def close(self) -> None:
+        """Nothing to release (the sharded front closes every slot)."""
+
+
+class MaterializedExchange(ExchangeFront, SlotExchange):
+    """The flat exchange: the query front and a lazily maintained core over
+    one :class:`SlotExchange` materialization (see module docstring)."""
+
+    # The shared entry point, bound again as this class's own attribute so
+    # that wrapping ``MaterializedExchange.answer`` (profilers, layer timers)
+    # leaves the sharded front's binding untouched, and vice versa.
+    answer = ExchangeFront.answer
+
+    def __init__(
+        self,
+        name: str,
+        compiled: CompiledMapping,
+        source: Instance,
+        max_chase_steps: int | None = None,
+        cache_capacity: int | None = None,
+    ):
+        ExchangeFront.__init__(self, cache_capacity)
+        SlotExchange.__init__(self, name, compiled, source, max_chase_steps)
+        # Serialises lazy core (re)computation between concurrent readers;
+        # updates are excluded wholesale by the service's write lock.
+        self._core_mutex = threading.Lock()
+        self._core: Optional[Instance] = None
+        self._core_versions: Optional[VersionVector] = None
+        # Net (added, removed) target facts since the cached core was
+        # computed, or None when the target changed in a way (egd rewrite, no
+        # core yet) that requires a full core recomputation.
+        self._core_delta: Optional[tuple[list[Fact], list[Fact]]] = None
+
+    @property
+    def core_size(self) -> Optional[int]:
+        """Tuples in the cached core, or ``None`` if no core was computed yet.
+
+        Introspection only (``service.stats()``): reading it never triggers
+        the computation :meth:`core` would.
+        """
+        return len(self._core) if self._core is not None else None
+
+    def core(self) -> Instance:
+        """The core of the target, maintained rather than recomputed.
+
+        After additions *and* removals the cached core is repaired by
+        :func:`~repro.serving.core_engine.core_of_delta`: only blocks whose
+        relations gained or lost facts are re-folded (removals first restore
+        the previously folded-away facts of those blocks, since a deletion
+        may have invalidated the fold that justified dropping them).  Only
+        egd rewrites — whose substitutions touch unrecorded relations — fall
+        back to a full block-based recomputation.
+
+        Thread-safe against concurrent readers: the computation runs under a
+        mutex (when the cached core is current, the cost is one version-vector
+        comparison).
+        """
+        with self._core_mutex:
+            versions = self._target_versions()
+            if self._core is not None and self._core_versions == versions:
+                return self._core
+            if self._core is not None and self._core_delta is not None:
+                added, removed = self._core_delta
+                # Addition-only deltas omit the target on purpose:
+                # serving-layer additions never reuse a folded-away null
+                # (chase nulls are fresh; a justification null returns only
+                # after its facts left the target, i.e. through a removal), so
+                # the reused-null scan core_of_delta runs when given a target
+                # would be pure overhead.
+                self._core = core_of_delta(
+                    self._core, added, removed, target=self._target if removed else None
+                )
+            else:
+                self._core = core_of_indexed(self._target)
+            self._core_versions = versions
+            self._core_delta = ([], [])
+            return self._core
+
+    def apply_delta(
+        self,
+        added: Iterable[tuple[str, Iterable[Any]]] = (),
+        removed: Iterable[tuple[str, Iterable[Any]]] = (),
+    ) -> AppliedDelta:
+        """:meth:`SlotExchange._apply`, its raw ``touched`` record folded
+        into the pending core repair.  A rejected batch drops every cached
+        answer: it may have bumped versions of relations now back to their
+        old contents, and rollbacks are rare."""
+        try:
+            applied = self._apply(added, removed)
+        except ServingError:
+            self._core_delta = None
+            self._cache.invalidate_all()
+            raise
+        touched = applied.touched
+        if touched is None:
+            self._core_delta = None
+        elif self._core_delta is not None:
+            self._core_delta[0].extend(touched[0])
+            self._core_delta[1].extend(touched[1])
+        return applied
+
     def _monotone_route(self, query: AnyQuery) -> str:
         """``core`` for UCQs, ``target`` for other monotone queries.
 
@@ -984,41 +1031,4 @@ class MaterializedExchange(ExchangeFront):
         return (
             f"MaterializedExchange({self.name!r}: |S|={len(self.source)}, "
             f"|T|={len(self._target)}, cache={len(self._cache)})"
-        )
-
-
-class SlotExchange(MaterializedExchange):
-    """A shard slot: an evaluator behind the surface the sharded front uses.
-
-    :meth:`answer` evaluates a monotone query over the maintained target
-    (its indexes stay warm across writes), with no core and no cache.  Sound
-    by Proposition 3: the front only unions null-free answers, the same over
-    a universal solution as over its core; and the front asks a slot only
-    when its own partial answer is missing or stale, so a slot cache under
-    the same versions could never hit.  :meth:`apply_delta` reports the
-    touched target facts split by membership, for the front's merged view.
-    """
-
-    def answer(self, query: AnyQuery) -> AnswerOutcome:
-        answers = self._evaluate("target", query, [])
-        return AnswerOutcome(frozenset(answers), "monotone", "target", False)
-
-    def apply_delta(
-        self,
-        added: Iterable[tuple[str, Iterable[Any]]] = (),
-        removed: Iterable[tuple[str, Iterable[Any]]] = (),
-    ) -> AppliedDelta:
-        """:meth:`MaterializedExchange.apply_delta`, with ``touched`` split
-        by membership in the target now: ``(present, absent)``, each fact
-        once, or ``None`` when unknown."""
-        applied = super().apply_delta(added=added, removed=removed)
-        if applied.touched is None:
-            return applied
-        target = self._target
-        present: dict[Fact, None] = {}
-        absent: dict[Fact, None] = {}
-        for fact in (*applied.touched[0], *applied.touched[1]):
-            (present if fact in target else absent)[fact] = None
-        return AppliedDelta(
-            applied.added, applied.removed, (tuple(present), tuple(absent))
         )

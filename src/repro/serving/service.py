@@ -161,10 +161,9 @@ class UpdateResult:
     """The net mutation one committed batch made, plus the rounds it paid.
 
     ``lock_wait_seconds`` is the time this scenario's write lock took to
-    acquire at commit; ``evaluate_seconds`` the time inside
-    ``apply_delta``.  ``elapsed_seconds`` keeps its pre-split meaning —
-    the apply time only (lock wait was never part of it) — so existing
-    readers see unchanged numbers.
+    acquire at commit.  ``elapsed_seconds`` keeps its pre-split meaning —
+    the time inside ``apply_delta`` only (lock wait was never part of it)
+    — so existing readers see unchanged numbers.
     """
 
     scenario: str
@@ -175,7 +174,6 @@ class UpdateResult:
     invalidation_rounds: int
     elapsed_seconds: float
     lock_wait_seconds: float = 0.0
-    evaluate_seconds: float = 0.0
     # The service-global epoch this commit published at (issued by the
     # EpochClock's two-phase publish; 0 only for pre-epoch no-op results).
     epoch: int = 0
@@ -334,7 +332,6 @@ class Transaction:
                         - before.invalidation_rounds,
                         elapsed_seconds=elapsed,
                         lock_wait_seconds=lock_waits[name],
-                        evaluate_seconds=elapsed,
                         epoch=token,
                     )
             except Exception as failure:

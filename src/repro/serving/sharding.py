@@ -28,13 +28,14 @@ Serving
 Queries go through the query front shared with the unsharded exchange
 (:class:`~repro.serving.materialized.ExchangeFront`): normalisation, the
 top-level cache probe, the DEQA branch and ``explain`` are written there
-once.  This class supplies the composed version vector, the
+once, and the slots under it have none.  This class supplies its name,
+mapping and merged source, the composed version vector, the
 ``scatter``/``merged`` route decision that ``answer`` and ``explain`` both
 read, the two evaluations, and the scatter rules and fan-out ``explain``
 reports.
 
 * **Updates** fan out per shard: one
-  :meth:`~repro.serving.materialized.MaterializedExchange.apply_delta` per
+  :meth:`~repro.serving.materialized.SlotExchange.apply_delta` per
   touched shard, run on a :class:`~concurrent.futures.ThreadPoolExecutor`
   worker pool, all-or-nothing — a failing shard rejects the batch and the
   shards that already committed are unwound by their inverse deltas (the
@@ -43,12 +44,13 @@ reports.
   provably intra-shard (same key-connectedness test as STD bodies, plus
   single-atom and residual-only cases): every shard asked evaluates in
   parallel over its own maintained target and the answer sets are
-  unioned.  A slot is an evaluator only: it keeps no core (by
-  Proposition 3 null-free UCQ answers are the same over a universal
-  solution as over its core) and no cache.  The union is the null-aware
-  dedup: certain answers are null-free and per-shard nulls are disjoint,
-  so no cross-shard identification could create or merge answers.
-  Queries that may join across the partition fall back to a
+  unioned.  A slot is a materialization, not an exchange
+  (:class:`~repro.serving.materialized.SlotExchange`): it has no query
+  front, no core (by Proposition 3 null-free UCQ answers are the same over
+  a universal solution as over its core) and no cache.  The union is the
+  null-aware dedup: certain answers are null-free and per-shard nulls are
+  disjoint, so no cross-shard identification could create or merge
+  answers.  Queries that may join across the partition fall back to a
   maintained **merged target view**: one coded
   :class:`~repro.relational.interning.ColumnarInstance` built on first use
   and then advanced per committed batch from the target facts each shard
@@ -143,6 +145,7 @@ from repro.serving.materialized import (
     Fact,
     SlotExchange,
     TouchedFacts,
+    UpdateStats,
     normalise_delta,
 )
 from repro.serving.workers import ProcessShard, WorkerGone
@@ -317,8 +320,11 @@ class ShardedExchange(ExchangeFront):
             raise ValueError(
                 f"unknown worker_mode {worker_mode!r} (use 'thread' or 'process')"
             )
-        # self.source is the merged live source view (DEQA reads it).
-        super().__init__(name, compiled, source, cache_capacity)
+        super().__init__(cache_capacity)
+        self.name = name
+        self.compiled = compiled
+        self.source = source.copy()  # the merged live source view (DEQA reads it)
+        self.update_stats = UpdateStats()
         self.plan = analyse_shardability(compiled, partition, force_residual=force_residual)
         self._max_chase_steps = max_chase_steps
         self._worker_mode = worker_mode

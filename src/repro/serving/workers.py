@@ -88,7 +88,6 @@ def _summary(exchange: SlotExchange) -> tuple:
                 for name in target.relation_names()
             )
         ),
-        len(exchange.source),
         (
             stats.batches,
             stats.trigger_rounds,
@@ -204,14 +203,14 @@ class ProcessShard:
     """One shard's exchange, hosted in a worker process (see module docstring).
 
     A plain proxy: every request does one round trip and returns the reply
-    or raises :class:`WorkerGone` or :class:`ServingError`.  It duck-types the
-    slice of the :class:`MaterializedExchange` surface the sharded exchange
-    uses — ``apply_delta``/``answer``/``update_stats``/``source``/``target``/
-    ``target_size``/``target_relation_size``/``_target_versions``/``close``
-    — so the sharded exchange treats thread- and process-backed shards
-    identically.  Like the :class:`SlotExchange` it hosts, ``answer``
-    evaluates over the worker's maintained target (no core, no cache) and
-    ``apply_delta`` reports the touched target facts split by membership.
+    or raises :class:`WorkerGone` or :class:`ServingError`.  It proxies the
+    surface of the :class:`SlotExchange` it hosts — ``apply_delta``/
+    ``answer``/``update_stats``/``source``/``target``/``target_size``/
+    ``target_relation_size``/``_target_versions``/``close``, all the sharded
+    exchange uses of a slot — so thread- and process-backed shards are
+    treated identically: ``answer`` evaluates over the worker's maintained
+    target (no front, no core, no cache) and ``apply_delta`` reports the
+    touched target facts split by membership.
     """
 
     def __init__(
@@ -293,7 +292,7 @@ class ProcessShard:
             raise ServingError(payload)
         return payload
 
-    # -- the MaterializedExchange surface ----------------------------------
+    # -- the SlotExchange surface ------------------------------------------
 
     def apply_delta(
         self,
@@ -322,7 +321,7 @@ class ProcessShard:
     def update_stats(self) -> UpdateStats:
         if self._summary is None:
             return UpdateStats()
-        return UpdateStats(*self._summary[4])
+        return UpdateStats(*self._summary[3])
 
     @property
     def target_size(self) -> int:

@@ -246,9 +246,11 @@ def test_failed_update_rolls_back_to_the_pre_update_state():
     # Regression: a chase failure mid-update must not leave the exchange
     # half-applied and serving answers for a scenario with no solution.
     mapping = mapping_from_rules(
-        ["D(x, d) :- S(x, d)"], source={"S": 2}, target={"D": 2}
+        ["D(x, d) :- S(x, d)"], source={"S": 2}, target={"D": 2, "M": 2}
     )
-    deps = parse_dependencies(["D(x, d1) & D(x, d2) -> d1 = d2"])
+    deps = parse_dependencies(
+        ["D(x, d1) & D(x, d2) -> d1 = d2", "D(x, d) -> exists m . M(x, m)"]
+    )
     exchange_ = register(mapping, make_instance({"S": [("a", "1")]}), deps)
     q = cq(["x", "d"], [("D", ["x", "d"])])
     assert exchange_.certain_answers(q) == {("a", "1")}
@@ -257,6 +259,9 @@ def test_failed_update_rolls_back_to_the_pre_update_state():
     assert ("S", ("a", "2")) not in exchange_.source
     assert exchange_.certain_answers(q) == {("a", "1")}
     assert exchange_.core().relation("D") == {("a", "1")}
+    # The rollback's re-chase minted a fresh M-null: the core is rebuilt
+    # from the restored target, not repaired from a stale delta.
+    assert set(exchange_.core().facts()) <= set(exchange_.target.facts())
     # The exchange keeps working after the rejected update.
     exchange_.apply_delta(added=[("S", ("b", "2"))])
     assert exchange_.certain_answers(q) == {("a", "1"), ("b", "2")}
