@@ -73,7 +73,6 @@ from repro.chase.dependencies import EGD, TGD
 from repro.chase.engine import ChaseFailure, ChaseResult, ChaseStep, _head_satisfiable
 from repro.logic.cq import match_atoms, match_atoms_delta
 from repro.logic.terms import Const, Var
-from repro.obs.trace import TRACER
 from repro.relational.domain import NullFactory, is_null
 from repro.relational.instance import Instance
 
@@ -504,7 +503,6 @@ def chase_incremental(
     max_steps: int | None = 10_000,
     seed_delta: Iterable[Fact] | None = None,
     provenance: ChaseProvenance | None = None,
-    in_place: bool = False,
 ) -> ChaseResult:
     """Chase ``instance`` with a delta-driven worklist (see module docstring).
 
@@ -527,28 +525,17 @@ def chase_incremental(
     call whether or not the batch withdraws anything; it calls this
     function only for from-scratch chases.)
 
-    ``in_place=True`` chases the given instance directly instead of a copy,
-    so version counters advance only for genuinely touched relations.  The
-    caller owns failure handling: a :class:`ChaseFailure` (or a blown step
-    budget) leaves the instance — and any provenance — partially chased, so
-    only a caller with its own rollback path should pass it.
-
     ``provenance``, when given, records every applied step (and is kept
     consistent across egd substitutions), enabling later
     :func:`retract_incremental` calls against the result.  Pass the same
     object to every chase call that extends the same maintained instance.
     """
-    working = instance if in_place else instance.copy()
-    worklist = _Worklist(working, list(dependencies), max_steps, provenance)
+    worklist = _Worklist(instance.copy(), list(dependencies), max_steps, provenance)
     if seed_delta is None:
         worklist.seed_full()
     else:
         worklist.propagate([(name, tuple(tup)) for name, tup in seed_delta])
-    with TRACER.span(
-        "chase.run", seeded="delta" if seed_delta is not None else "full"
-    ) as span:
-        terminated = worklist.run()
-        span.annotate(steps=len(worklist.steps), terminated=terminated)
+    terminated = worklist.run()
     return ChaseResult(worklist.working, worklist.steps, terminated=terminated)
 
 
@@ -642,27 +629,20 @@ def retract_incremental(
     dead_facts: set[Fact] = set()
     dead_steps: set[int] = set()
     if withdrawn:
-        with TRACER.span("chase.over_delete", withdrawn=len(withdrawn)) as span:
-            dead_facts, dead_steps, entangled = provenance._delete_closure(withdrawn)
-            span.annotate(dead_facts=len(dead_facts), dead_steps=len(dead_steps))
-        with TRACER.span("chase.egd_guard", entangled=entangled):
-            if entangled:
-                return RetractionResult(instance, replay_required=True)
-            provenance._apply_deletion(withdrawn, dead_facts, dead_steps)
-            for fact in dead_facts:
-                instance.discard(*fact)
+        dead_facts, dead_steps, entangled = provenance._delete_closure(withdrawn)
+        if entangled:
+            return RetractionResult(instance, replay_required=True)
+        provenance._apply_deletion(withdrawn, dead_facts, dead_steps)
+        for fact in dead_facts:
+            instance.discard(*fact)
 
     worklist = _Worklist(instance, deps, max_steps, provenance)
-    with TRACER.span("chase.rederive") as rederive:
-        for dep_index, partial in _rederivation_triggers(dead_facts, deps):
-            for assignment in match_atoms(
-                list(deps[dep_index].body), instance, partial
-            ):
-                worklist.push(dep_index, assignment)
-        if seed_delta is not None:
-            worklist.propagate([(name, tuple(tup)) for name, tup in seed_delta])
-        terminated = worklist.run()
-        rederive.annotate(steps=len(worklist.steps), terminated=terminated)
+    for dep_index, partial in _rederivation_triggers(dead_facts, deps):
+        for assignment in match_atoms(list(deps[dep_index].body), instance, partial):
+            worklist.push(dep_index, assignment)
+    if seed_delta is not None:
+        worklist.propagate([(name, tuple(tup)) for name, tup in seed_delta])
+    terminated = worklist.run()
 
     readded = set(worklist.new_facts)
     net_removed = sorted(

@@ -16,9 +16,9 @@ Three coordinated surfaces, all importable from :mod:`repro.obs`:
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
   gauges and histograms (lock wait, cache-hit latency, chase steps per
   batch, IPC buffer bytes, join candidate sizes vs estimates) with
-  snapshot-consistent export as JSON and Prometheus-style text.  The
-  existing stats dataclasses (``ScenarioStats`` et al.) keep their
-  public shapes; the registry is the collection layer underneath.
+  snapshot-consistent export as JSON and Prometheus-style text.
+  Scenario numbers stay in each service's ``stats()`` dataclasses;
+  ``service.metrics()`` joins them with the registry's snapshot.
 
 * :mod:`repro.obs.explain` + the flight recorder
   (:mod:`repro.obs.flight`) — ``service.explain(...)`` returns the
@@ -31,11 +31,12 @@ Three coordinated surfaces, all importable from :mod:`repro.obs`:
 
 * :mod:`repro.obs.monitor` — observability over *time* and the first
   closed control loop: bounded time-series sampled from the metrics
-  registry, declarative health rules with hysteresis, a slow-query log
-  with retained explain plans, and the background ``Monitor``
-  (``service.start_monitor(...)``) whose ``AutoRebalance`` action
-  reacts to sustained hot-shard alerts.  ``python -m repro.obs`` dumps
-  health + recent series + slow queries for a demo workload.
+  registry and the service's stats, declarative health rules with
+  hysteresis, a slow-query log with retained explain plans, and the
+  background ``Monitor`` (``service.start_monitor(...)``) whose
+  ``AutoRebalance`` action reacts to sustained hot-shard alerts.
+  ``python -m repro.obs`` dumps health + recent series + slow queries
+  for a demo workload.
 """
 
 from __future__ import annotations

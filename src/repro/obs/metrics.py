@@ -8,14 +8,10 @@ at once.
 
 Consistency model — one mutex guards every instrument, so a snapshot
 never observes a torn instrument (a histogram's count/sum/buckets all
-come from the same instant).  Scenario-level *provider* callbacks (the
-service registers one per scenario to fold ``ScenarioStats`` into the
-export) are invoked **outside** that mutex: providers take scenario
-read locks, and code paths holding scenario locks also bump instruments
-— calling providers under the registry mutex would invert that order
-and deadlock.  Each provider is internally consistent (it snapshots
-under its scenario's read lock); cross-provider atomicity is not
-claimed.
+come from the same instant).  The registry holds instruments only and is
+process-wide on purpose: scenario stats belong to the service that
+serves the scenario, and ``ExchangeService.metrics()`` joins this
+snapshot with that service's own ``stats()``.
 
 Instrument updates are cheap (one lock round-trip per ``inc``), and the
 serving layers additionally gate their *per-event* observations behind
@@ -28,7 +24,7 @@ from __future__ import annotations
 import bisect
 import json
 import threading
-from typing import Any, Callable
+from typing import Any
 
 #: Default histogram bucket upper bounds (seconds-flavoured, but the
 #: same geometric ladder reads fine for counts and bytes).
@@ -200,13 +196,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Process-wide named instruments plus per-scenario stat providers."""
+    """Process-wide named instruments."""
 
     def __init__(self) -> None:
         self.enabled = True
         self._mutex = threading.Lock()
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
-        self._providers: dict[str, Callable[[], dict[str, Any]]] = {}
 
     # -- instrument handles (idempotent: same name → same instrument) ------
 
@@ -240,44 +235,22 @@ class MetricsRegistry:
             self._instruments[name] = instrument
             return instrument
 
-    # -- providers ---------------------------------------------------------
-
-    def register_provider(self, name: str, provider: Callable[[], dict[str, Any]]) -> None:
-        """Register a callable contributing a stats mapping to exports."""
-        with self._mutex:
-            self._providers[name] = provider
-
-    def unregister_provider(self, name: str) -> None:
-        with self._mutex:
-            self._providers.pop(name, None)
-
     # -- export ------------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """Instruments (atomic under one mutex) + provider contributions.
-
-        Providers run *outside* the mutex — see the module docstring for
-        the lock-ordering argument.
-        """
+        """Every instrument, atomically under the one mutex."""
         with self._mutex:
             instruments = {
                 name: instrument._snapshot()
                 for name, instrument in sorted(self._instruments.items())
             }
-            providers = list(self._providers.items())
-        scenarios: dict[str, Any] = {}
-        for name, provider in providers:
-            try:
-                scenarios[name] = provider()
-            except KeyError:
-                continue  # deregistered between listing and calling
-        return {"instruments": instruments, "scenarios": scenarios}
+        return {"instruments": instruments}
 
     def to_json(self) -> str:
         return json.dumps(self.snapshot(), indent=2, sort_keys=True, default=repr)
 
     def to_prometheus(self) -> str:
-        """Prometheus text exposition of the instruments (not providers)."""
+        """Prometheus text exposition of the instruments."""
         with self._mutex:
             instruments = sorted(self._instruments.items())
             lines: list[str] = []
@@ -298,10 +271,9 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
     def reset(self) -> None:
-        """Drop every instrument and provider (tests only)."""
+        """Drop every instrument (tests only)."""
         with self._mutex:
             self._instruments.clear()
-            self._providers.clear()
 
 
 def _prometheus_name(name: str) -> str:

@@ -4,10 +4,10 @@ PR 7 made the serving stack observable point-in-time; this module makes
 it observable *over time* and closes the first control loop:
 
 * :class:`TimeSeriesStore` — bounded ring-buffer series sampled from a
-  :class:`~repro.obs.metrics.MetricsRegistry` snapshot.  Counters (and
-  histogram counts) become per-second **rates**, gauges and histogram
-  means/quantiles become **levels**, and every numeric scalar a
-  scenario provider exports is flattened to a
+  :class:`~repro.obs.metrics.MetricsRegistry` snapshot and the service's
+  own ``stats()``.  Counters (and histogram counts) become per-second
+  **rates**, gauges and histogram means/quantiles become **levels**,
+  and every numeric scalar of a scenario's stats is flattened to a
   ``scenario.<name>.<path>`` level series.  Memory is fixed: each
   series is a ``deque(maxlen=capacity)``.
 
@@ -26,12 +26,12 @@ it observable *over time* and closes the first control loop:
 
 * :class:`Monitor` — the background sampler owned by
   ``ExchangeService.start_monitor(...)``.  Each tick samples the
-  registry, evaluates the rules, records ``health_transition`` flight
-  events, and runs *actions*; :class:`AutoRebalance` is the built-in
-  action that reacts to a sustained hot-shard alert by invoking
-  ``service.rebalance(name)`` with a cooldown, a per-scenario
-  concurrency guard (never while a manual reshard is in flight) and an
-  audit trail.
+  registry and the service's stats, evaluates the rules, records
+  ``health_transition`` flight events, and runs *actions*;
+  :class:`AutoRebalance` is the built-in action that reacts to a
+  sustained hot-shard alert by invoking ``service.rebalance(name)``
+  with a cooldown, a per-scenario concurrency guard (never while a
+  manual reshard is in flight) and an audit trail.
 
 Clock discipline — ``Monitor._now`` is the *only* place this module
 reads ``time.monotonic()`` (lint-enforced): every series timestamp and
@@ -50,7 +50,7 @@ import threading
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs.explain import QueryExplain
@@ -96,7 +96,7 @@ class Series:
 
 
 class TimeSeriesStore:
-    """Bounded per-series rings fed from registry snapshots.
+    """Bounded per-series rings fed from registry and stats snapshots.
 
     The store itself is unlocked — the owning :class:`Monitor`
     serialises all access under its mutex, and standalone use (tests,
@@ -132,23 +132,19 @@ class TimeSeriesStore:
             return  # clock went nowhere or the counter was reset
         self.record(name, at, (raw - prev_raw) / (at - prev_at))
 
-    def sample(
-        self,
-        snapshot: Mapping[str, Any],
-        at: float,
-        scenarios: Iterable[str] | None = None,
-        probes: Mapping[str, float] | None = None,
-    ) -> int:
-        """Fold one registry snapshot into the series; returns #series touched.
+    def sample(self, snapshot: Mapping[str, Any], at: float, stats: Any) -> int:
+        """Fold one registry snapshot and one service stats snapshot into
+        the series; returns #series touched.
 
         Counters and histogram counts become ``<name>.rate`` series;
-        gauges, histogram means and quantiles become levels.  Scenario
-        provider payloads are flattened recursively — numeric scalars
-        only, sequences are skipped so per-bucket histogram payloads
-        don't explode the series population.
+        gauges, histogram means and quantiles become levels.  ``stats``
+        is a :class:`~repro.serving.service.ServiceStats` (duck-typed):
+        its ``epoch`` becomes ``service.epoch`` and each scenario's stats
+        are flattened via ``asdict`` into ``scenario.<name>.<path>`` —
+        numeric scalars only; bools, strings and sequences are skipped
+        so per-shard tuples don't explode the series population.
         """
         before = len(self._series)
-        wanted = None if scenarios is None else set(scenarios)
         for name, inst in snapshot.get("instruments", {}).items():
             kind = inst.get("type")
             if kind == "counter":
@@ -163,12 +159,9 @@ class TimeSeriesStore:
                 for label, value in (inst.get("quantiles") or {}).items():
                     if value is not None:
                         self.record(f"{name}.{label}", at, float(value))
-        for scenario, payload in snapshot.get("scenarios", {}).items():
-            if wanted is not None and scenario not in wanted:
-                continue
-            self._flatten(f"scenario.{scenario}", payload, at)
-        for name, value in (probes or {}).items():
-            self.record(name, at, float(value))
+        self.record("service.epoch", at, float(stats.epoch))
+        for scenario in stats.scenarios:
+            self._flatten(f"scenario.{scenario.name}", asdict(scenario), at)
         return len(self._series) - before
 
     def _flatten(self, prefix: str, payload: Any, at: float) -> None:
@@ -771,9 +764,10 @@ class _RuleState:
 class Monitor:
     """Background sampler, rule evaluator and action driver.
 
-    Holds the service only weakly (consistent with the registry's
-    provider scheme): once the service is garbage-collected the next
-    tick observes the dead reference and the thread stops itself.
+    Holds the service only weakly: once the service is
+    garbage-collected the next tick observes the dead reference and the
+    thread stops itself.  Each tick reads the instruments from
+    ``registry`` and the scenarios from ``service.stats()``.
     ``tick(at=...)`` may also be driven manually — the CLI and the
     tests do — in which case no thread is involved at all.
     """
@@ -786,7 +780,6 @@ class Monitor:
         actions: Iterable[Callable[["Monitor", Any, HealthReport], None]] = (),
         history: int = 240,
         slow_queries: SlowQueryLog | None = None,
-        probes: Mapping[str, Callable[[Any], float]] | None = None,
         registry: MetricsRegistry | None = None,
         flight: FlightRecorder | None = None,
     ):
@@ -796,7 +789,6 @@ class Monitor:
         self.actions = tuple(actions)
         self.slow_queries = slow_queries
         self.store = TimeSeriesStore(capacity=history)
-        self._probes = dict(probes or {})
         self._registry = registry if registry is not None else METRICS
         self._flight = flight if flight is not None else FLIGHT_RECORDER
         self._mutex = threading.Lock()
@@ -807,9 +799,6 @@ class Monitor:
         self._audit: deque[ActionRecord] = deque(maxlen=64)
         self._last_action: dict[tuple[str, str | None], int] = {}
         self._known: set[str] = set()
-        # Start the flight cursor at "now": pre-monitor history belongs
-        # to the recorder's own ring, not to these series.
-        self._cursor = self._flight.last_seq
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -830,33 +819,21 @@ class Monitor:
             return None
         if at is None:
             at = self._now()
-        # Sampling happens OUTSIDE the monitor mutex: the registry
-        # snapshot runs scenario providers which take scenario read
-        # locks, and health() callers must never wait behind those.
+        # Sampling happens OUTSIDE the monitor mutex: service.stats()
+        # takes scenario read locks, and health() callers must never
+        # wait behind those.
         snapshot = self._registry.snapshot()
-        names = set(service.names())
-        probes: dict[str, float] = {}
-        for name, probe in self._probes.items():
-            try:
-                probes[name] = float(probe(service))
-            except Exception:
-                continue  # a probe must never take the sampler down
-        if self.slow_queries is not None:
-            probes["service.slow_queries"] = float(self.slow_queries.total)
-        fresh = self._flight.events(since_seq=self._cursor)
+        stats = service.stats()
+        names = {scenario.name for scenario in stats.scenarios}
+        slow = None if self.slow_queries is None else self.slow_queries.total
         with self._mutex:
             self._tick += 1
             for gone in self._known - names:
                 self._forget_locked(gone)
             self._known = names
-            self.store.sample(snapshot, at, scenarios=names, probes=probes)
-            if fresh:
-                self._cursor = fresh[-1].seq
-                kinds: dict[str, int] = {}
-                for event in fresh:
-                    kinds[event.kind] = kinds.get(event.kind, 0) + 1
-                for kind, count in kinds.items():
-                    self.store.record(f"flight.{kind}", at, float(count))
+            self.store.sample(snapshot, at, stats)
+            if slow is not None:
+                self.store.record("service.slow_queries", at, float(slow))
             statuses, transitions = self._evaluate_locked(sorted(names))
             self._last_statuses = statuses
             self._transitions.extend(transitions)

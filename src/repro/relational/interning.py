@@ -14,10 +14,9 @@ int codes and only decodes at the answer boundary.
 
 Code layout
 -----------
-Constant codes are allocated densely from the interner's ``base`` (``0`` for
-a locally owned interner); null codes are ``NULL_CODE_BASE + ident``, so
-``is_null_code`` is a single range check (no ``isinstance`` per value) and
-two interners agree on every null's code.  In the serving layer the only
+Constant codes are allocated densely from ``0``; null codes are
+``NULL_CODE_BASE + ident``, so ``is_null_code`` is a single range check (no
+``isinstance`` per value) and two interners agree on every null's code.  In the serving layer the only
 coded instance is the sharded exchange's merged target view; worker
 processes ship plain pickled facts (see :mod:`repro.serving.workers`).
 
@@ -45,7 +44,6 @@ from repro.relational.schema import Schema
 
 __all__ = [
     "NULL_CODE_BASE",
-    "WORKER_CODE_STRIDE",
     "ColumnarInstance",
     "ColumnarRelation",
     "ValueInterner",
@@ -53,7 +51,7 @@ __all__ = [
 ]
 
 #: Codes at or above this value denote nulls (``code - NULL_CODE_BASE`` is the
-#: null's ident).  Every interner's constant region sits below it.
+#: null's ident).  Every constant code sits below it.
 NULL_CODE_BASE = 1 << 48
 
 
@@ -65,21 +63,14 @@ def is_null_code(code: int) -> bool:
 class ValueInterner:
     """A bijection between values and int codes, grown on first sight.
 
-    Constants get dense codes ``base, base + 1, ...`` in interning order;
-    nulls map to ``NULL_CODE_BASE + ident`` (see the module docstring).
-    Constants coded by *another* interner can be adopted at their exact
-    codes with :meth:`register`; they decode normally but never shadow the
-    local dense allocation.
+    Constants get dense codes ``0, 1, ...`` in interning order; nulls map
+    to ``NULL_CODE_BASE + ident`` (see the module docstring).
     """
 
-    __slots__ = ("_base", "_dense", "_codes", "_by_code", "_nulls")
+    __slots__ = ("_codes", "_by_code", "_nulls")
 
-    def __init__(self, base: int = 0):
-        if not 0 <= base < NULL_CODE_BASE:
-            raise ValueError(f"interner base {base} outside the constant region")
-        self._base = base
-        self._dense: list[Any] = []  # own allocations; code = base + index
-        self._codes: dict[Any, int] = {}
+    def __init__(self) -> None:
+        self._codes: dict[Any, int] = {}  # constants only
         self._by_code: dict[int, Any] = {}
         self._nulls: dict[int, Null] = {}  # ident -> the Null object
 
@@ -94,8 +85,7 @@ class ValueInterner:
             return NULL_CODE_BASE + ident
         code = self._codes.get(value)
         if code is None:
-            code = self._base + len(self._dense)
-            self._dense.append(value)
+            code = len(self._codes)
             self._codes[value] = code
             self._by_code[code] = value
         return code
@@ -131,32 +121,6 @@ class ValueInterner:
 
     def decode_tuple(self, codes: Iterable[int]) -> tuple:
         return tuple(map(self.decode, codes))
-
-    # -- the allocation state (read by the interning tests) -----------------
-
-    @property
-    def dense_size(self) -> int:
-        """Number of locally allocated dense constants."""
-        return len(self._dense)
-
-    def constants_slice(self, start: int) -> list[Any]:
-        """The locally allocated constants from dense index ``start`` on."""
-        return self._dense[start:]
-
-    @property
-    def base(self) -> int:
-        return self._base
-
-    def register(self, code: int, value: Any) -> None:
-        """Adopt a ``code -> value`` binding allocated by another interner.
-
-        The binding decodes exactly; for encoding, the first code a value got
-        (local or adopted) wins.
-        """
-        if code >= NULL_CODE_BASE:
-            raise ValueError("null codes are derived from idents, never registered")
-        self._by_code[code] = value
-        self._codes.setdefault(value, code)
 
 
 class ColumnarRelation:
@@ -455,8 +419,3 @@ class ColumnarInstance(Instance):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         self._materialise_all()
         return f"Columnar{super().__repr__()}"
-
-
-# A base for a second interner's constant region, disjoint from a default
-# (base 0) interner's; the interning tests use it to exercise ``base=``.
-WORKER_CODE_STRIDE = 1 << 40

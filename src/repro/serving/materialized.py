@@ -259,10 +259,6 @@ class ExchangeFront:
         self._cache = CertainAnswerCache(capacity=cache_capacity)
 
     @property
-    def mapping(self):
-        return self.compiled.mapping
-
-    @property
     def cache_stats(self) -> CacheStats:
         return self._cache.stats
 

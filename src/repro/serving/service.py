@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.analysis import (
@@ -448,37 +447,6 @@ class ExchangeService:
                 force_residual=force_residual,
             )
             self._locks[name] = ReadWriteLock()
-        self._register_metrics_provider(name)
-
-    def _register_metrics_provider(self, name: str) -> None:
-        """Fold this scenario's stats into global metrics exports.
-
-        The provider holds the service only weakly — a dropped service
-        must not be pinned alive by the process-wide registry — and runs
-        outside the registry mutex (see :mod:`repro.obs.metrics`), taking
-        the scenario's read lock itself for a consistent contribution.
-        """
-        service_ref = weakref.ref(self)
-
-        def provider() -> dict[str, Any]:
-            service = service_ref()
-            if service is None:
-                raise KeyError(name)  # snapshot() skips vanished providers
-            stats = service._scenario_stats(name)
-            return {
-                "source_tuples": stats.source_tuples,
-                "target_tuples": stats.target_tuples,
-                "core_tuples": stats.core_tuples,
-                "cache_entries": stats.cache_entries,
-                "cache": vars(stats.cache).copy(),
-                "updates": vars(stats.updates).copy(),
-                "lock": vars(stats.lock).copy(),
-                "sharding": None
-                if stats.sharding is None
-                else vars(stats.sharding).copy(),
-            }
-
-        METRICS.register_provider(name, provider)
 
     def deregister(self, name: str) -> None:
         lock = self._lock(name)
@@ -487,11 +455,9 @@ class ExchangeService:
                 self._registry.deregister(name)
                 self._locks.pop(name, None)
                 self._rebalance_guards.pop(name, None)
-        METRICS.unregister_provider(name)
-        # Keep the monitor's retention weakref-consistent with the provider
-        # scheme: a deregistered scenario's series, rule states and audit
-        # cursors go with it (a later tick would also notice, but callers
-        # deserve a health() free of the ghost immediately).
+        # A deregistered scenario's series, rule states and audit cursors
+        # go with it (a later tick would also notice, but callers deserve
+        # a health() free of the ghost immediately).
         monitor = self._monitor
         if monitor is not None:
             monitor.forget_scenario(name)
@@ -948,9 +914,9 @@ class ExchangeService:
         """Attach (and by default start) the background health monitor.
 
         Every ``interval`` seconds the monitor samples the metrics
-        registry into its bounded time-series store, evaluates the
-        health rules (``rules=None`` means the built-in set) with
-        hysteresis, records ``health_transition`` flight events, and
+        registry and this service's :meth:`stats` into its bounded
+        time-series store, evaluates the health rules (``rules=None``
+        means the built-in set) with hysteresis, records ``health_transition`` flight events, and
         runs the ``actions``.  ``auto_rebalance=True`` is shorthand for
         ``actions=(AutoRebalance(),)`` — the closed loop that reshards
         a scenario whose hot-shard alert has been critical for long
@@ -979,7 +945,6 @@ class ExchangeService:
                 actions=actions,
                 history=history,
                 slow_queries=slow_log,
-                probes={"service.epoch": lambda service: service._epoch.current()},
             )
             self._slow_log = slow_log
             self._monitor = monitor
@@ -1070,13 +1035,16 @@ class ExchangeService:
         return report(name, diagnostics)
 
     def metrics(self) -> dict[str, Any]:
-        """The process-wide metrics snapshot (instruments + scenario stats).
+        """The process-wide instruments plus this service's scenario stats.
 
-        Shorthand for ``repro.obs.METRICS.snapshot()`` — every scenario
-        this service registered contributes through its provider, each
-        snapshotted under its own read lock.
+        ``instruments`` is ``repro.obs.METRICS.snapshot()``; ``scenarios``
+        maps each scenario to its :class:`ScenarioStats` as a dict, from
+        :meth:`stats` (each taken under its own read lock).
         """
-        return METRICS.snapshot()
+        return {
+            **METRICS.snapshot(),
+            "scenarios": {s.name: asdict(s) for s in self.stats().scenarios},
+        }
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names())

@@ -50,22 +50,6 @@ def test_counter_gauge_histogram_values():
     assert snap["buckets"] == {"1": 1, "10": 2, "+Inf": 3}
 
 
-def test_snapshot_includes_providers_and_skips_deregistered():
-    registry = MetricsRegistry()
-    registry.counter("c").inc()
-    registry.register_provider("alive", lambda: {"queries": 7})
-    registry.register_provider("gone", _raise_keyerror)
-    snap = registry.snapshot()
-    assert snap["instruments"]["c"] == {"type": "counter", "value": 1.0}
-    assert snap["scenarios"] == {"alive": {"queries": 7}}
-    registry.unregister_provider("alive")
-    assert registry.snapshot()["scenarios"] == {}
-
-
-def _raise_keyerror():
-    raise KeyError("scenario deregistered mid-snapshot")
-
-
 def test_prometheus_exposition_format():
     registry = MetricsRegistry()
     registry.counter("query.total", "Requests served").inc(3)

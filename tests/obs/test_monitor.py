@@ -26,23 +26,43 @@ from repro.obs.monitor import (
     TimeSeriesStore,
     default_rules,
 )
-from repro.serving import ExchangeService
+from repro.serving import (
+    CacheStats,
+    ExchangeService,
+    LockStats,
+    ScenarioStats,
+    ServiceStats,
+    ShardingStats,
+    UpdateStats,
+)
 from repro.serving.materialized import ServingError
 from repro.workloads.elastic import elastic_workload
 from repro.workloads.skewed import skewed_workload
 
 
+def scenario_stats(name, source_tuples=0, **fields):
+    """A :class:`ScenarioStats` with zeroed counters unless overridden."""
+    defaults = dict(
+        target_tuples=0, core_tuples=None, cache_entries=0,
+        cache=CacheStats(), updates=UpdateStats(), lock=LockStats(),
+    )
+    return ScenarioStats(name, source_tuples, **{**defaults, **fields})
+
+
 class FakeService:
-    """The minimal surface a Monitor samples: ``names()`` and weakref-ability."""
+    """The minimal surface a Monitor samples: ``stats()`` and weakref-ability."""
 
     def __init__(self, names=("s",)):
         self._names = list(names)
 
-    def names(self):
-        return list(self._names)
+    def stats(self):
+        scenarios = (
+            scenario_stats(name, index + 1) for index, name in enumerate(self._names)
+        )
+        return ServiceStats(tuple(scenarios), epoch=3)
 
 
-def make_monitor(service, rules=(), actions=(), probes=None, slow=None):
+def make_monitor(service, rules=(), actions=(), slow=None):
     """An isolated monitor: fresh registry + recorder, manual ticks only."""
     registry = MetricsRegistry()
     flight = FlightRecorder()
@@ -51,7 +71,6 @@ def make_monitor(service, rules=(), actions=(), probes=None, slow=None):
         interval=1.0,
         rules=rules,
         actions=actions,
-        probes=probes,
         slow_queries=slow,
         registry=registry,
         flight=flight,
@@ -83,14 +102,14 @@ def test_sample_turns_counters_into_rates_and_histograms_into_levels():
     counter.inc(10)
     gauge.set(4.0)
     histogram.observe(2.0)
-    store.sample(registry.snapshot(), at=0.0)
+    store.sample(registry.snapshot(), at=0.0, stats=ServiceStats(()))
     # first sample: no interval yet, so no rate points
     assert store.window("reqs.total.rate", 5) == []
     assert store.window("depth", 5) == [(0.0, 4.0)]
 
     counter.inc(30)
     histogram.observe(4.0)
-    store.sample(registry.snapshot(), at=2.0)
+    store.sample(registry.snapshot(), at=2.0, stats=ServiceStats(()))
     assert store.window("reqs.total.rate", 5) == [(2.0, 15.0)]
     assert store.window("lat.rate", 5) == [(2.0, 0.5)]
     [(_, mean)] = store.window("lat.mean", 1)
@@ -99,38 +118,44 @@ def test_sample_turns_counters_into_rates_and_histograms_into_levels():
 
 
 def test_sample_flattens_provider_scalars_and_skips_sequences():
-    registry = MetricsRegistry()
-    payload = {
-        "cache": {"hits": 3, "misses": 1},
-        "imbalance": 2.5,
-        "degraded": True,  # bools are not levels
-        "shard_source_tuples": (5, 6),  # sequences would explode the store
-        "label": "hot",
-    }
-    registry.register_provider("s", lambda: payload)
+    sharding = ShardingStats(
+        epoch=4, shards=3, workers=2, local_stds=1, residual_stds=0,
+        residual_sources=("R",), shard_source_tuples=(5, 6),
+        shard_target_tuples=(5, 6, 0), scatter_queries=0, merged_queries=0,
+        fanout_applies=0, imbalance=2.5, worker_mode="process",
+    )
+    stats = ServiceStats(
+        (scenario_stats(
+            "s",
+            cache=CacheStats(hits=3, misses=1),
+            core_tuples=True,  # a bool is an int subclass, but never a level
+            sharding=sharding,
+        ),),
+        epoch=7,
+    )
     store = TimeSeriesStore()
-    store.sample(registry.snapshot(), at=1.0, probes={"service.epoch": 7})
+    store.sample(MetricsRegistry().snapshot(), at=1.0, stats=stats)
     assert store.window("scenario.s.cache.hits", 1) == [(1.0, 3.0)]
-    assert store.window("scenario.s.imbalance", 1) == [(1.0, 2.5)]
+    assert store.window("scenario.s.sharding.imbalance", 1) == [(1.0, 2.5)]
     assert store.window("service.epoch", 1) == [(1.0, 7.0)]
-    assert store.series("scenario.s.degraded") is None
-    assert store.series("scenario.s.shard_source_tuples") is None
-    assert store.series("scenario.s.label") is None
-    # scenario filtering: an unknown provider contributes nothing
-    store2 = TimeSeriesStore()
-    store2.sample(registry.snapshot(), at=1.0, scenarios={"other"})
-    assert len(store2) == 0
+    assert store.series("scenario.s.core_tuples") is None
+    # sequences would explode the store; strings are not levels
+    assert store.series("scenario.s.sharding.shard_source_tuples") is None
+    assert store.series("scenario.s.sharding.worker_mode") is None
+    assert store.series("scenario.s.name") is None
 
 
 def test_drop_scenario_removes_series_and_rate_baselines():
-    registry = MetricsRegistry()
-    registry.register_provider("a", lambda: {"x": 1})
-    registry.register_provider("b", lambda: {"x": 2})
+    stats = ServiceStats((scenario_stats("a", 1), scenario_stats("b", 2)))
     store = TimeSeriesStore()
-    store.sample(registry.snapshot(), at=0.0)
-    assert store.names() == ["scenario.a.x", "scenario.b.x"]
-    assert store.drop_scenario("a") == 1
-    assert store.names() == ["scenario.b.x"]
+    store.sample(MetricsRegistry().snapshot(), at=0.0, stats=stats)
+    store._record_rate("scenario.a.hits.rate", 0.0, 1.0)
+    assert "scenario.a.source_tuples" in store.names()
+    dropped = len([name for name in store.names() if name.startswith("scenario.a.")])
+    assert store.drop_scenario("a") == dropped
+    assert not any(name.startswith("scenario.a.") for name in store.names())
+    assert "scenario.b.source_tuples" in store.names()
+    assert not any(name.startswith("scenario.a.") for name in store._raw)
 
 
 def test_counter_reset_does_not_produce_a_negative_rate():
@@ -287,25 +312,6 @@ def test_report_state_is_the_worst_status_and_health_is_consistent():
     assert report.to_dict()["state"] == "critical"
 
 
-def test_flight_cursor_feeds_event_series_without_replaying_history():
-    service = FakeService(names=())
-    flight = FlightRecorder()
-    flight.record("preexisting")
-    # the cursor starts at construction time: pre-monitor history belongs
-    # to the recorder's ring, not to these series
-    monitor = Monitor(
-        service, rules=(), registry=MetricsRegistry(), flight=flight
-    )
-    flight.record("rollback", scenario="s")
-    flight.record("rollback", scenario="s")
-    monitor.tick(at=0.0)
-    assert monitor.store.series("flight.preexisting") is None
-    assert [v for _, v in monitor.store.window("flight.rollback", 5)] == [2.0]
-    # already-drained events are not recounted
-    monitor.tick(at=1.0)
-    assert [v for _, v in monitor.store.window("flight.rollback", 5)] == [2.0]
-
-
 # ---------------------------------------------------------------------------
 # Satellite 3: deregistration drops series, states and statuses
 # ---------------------------------------------------------------------------
@@ -342,17 +348,15 @@ def test_deregistered_scenario_is_forgotten_by_the_monitor():
 
 
 def test_monitor_tick_prunes_scenarios_that_vanished_without_notification():
-    registry = MetricsRegistry()
     service = FakeService(names=["a", "b"])
-    registry.register_provider("a", lambda: {"x": 1})
-    registry.register_provider("b", lambda: {"x": 2})
     monitor, _, _ = make_monitor(service)
-    monitor._registry = registry
     monitor.tick(at=0.0)
-    assert len(monitor.store) == 2
+    assert monitor.store.window("scenario.b.source_tuples", 1) == [(0.0, 2.0)]
     service._names = ["a"]
     monitor.tick(at=1.0)
-    assert monitor.store.names() == ["scenario.a.x"]
+    assert monitor.health().scenarios == ("a",)
+    assert not any(name.startswith("scenario.b.") for name in monitor.store.names())
+    assert monitor.store.window("scenario.a.source_tuples", 2) == [(0.0, 1.0), (1.0, 1.0)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.relational.domain import Null, fresh_null
 from repro.relational.instance import Instance
 from repro.relational.interning import (
     NULL_CODE_BASE,
-    WORKER_CODE_STRIDE,
     ColumnarInstance,
     ColumnarRelation,
     ValueInterner,
@@ -43,18 +42,18 @@ def test_interner_round_trips_constants_and_nulls():
 
 
 def test_interner_constant_codes_are_dense_from_base():
-    interner = ValueInterner(base=100)
-    assert interner.encode("a") == 100
-    assert interner.encode("b") == 101
-    assert interner.encode("a") == 100
-    assert interner.base == 100
-    assert interner.dense_size == 2
-    assert interner.constants_slice(1) == ["b"]
+    interner = ValueInterner()
+    assert interner.encode("a") == 0
+    assert interner.encode(fresh_null()) >= NULL_CODE_BASE  # nulls take no slot
+    assert interner.encode("b") == 1
+    assert interner.encode("a") == 0
+    assert interner.decode_tuple((0, 1)) == ("a", "b")
 
 
 def test_interner_null_codes_are_stable_across_interners():
     null = fresh_null()
-    a, b = ValueInterner(), ValueInterner(base=WORKER_CODE_STRIDE)
+    a, b = ValueInterner(), ValueInterner()
+    b.encode("shifts b's constants, never its null codes")
     assert a.encode(null) == b.encode(null) == NULL_CODE_BASE + null.ident
     # Decoding an unseen null reconstructs it by ident (equality holds).
     fresh_table = ValueInterner()
@@ -64,27 +63,8 @@ def test_interner_null_codes_are_stable_across_interners():
 def test_interner_probe_does_not_intern():
     interner = ValueInterner()
     assert interner.code_of("unseen") is None
-    assert interner.dense_size == 0
+    assert interner.encode("first") == 0  # the probe allocated nothing
     assert interner.code_of(fresh_null()) is not None  # nulls always probe
-
-
-def test_interner_register_adopts_foreign_codes():
-    parent = ValueInterner()
-    parent.encode("local")
-    foreign_code = WORKER_CODE_STRIDE + 3
-    parent.register(foreign_code, "remote")
-    assert parent.decode(foreign_code) == "remote"
-    # First binding wins for encoding; decode stays exact for both codes.
-    parent.register(WORKER_CODE_STRIDE + 9, "local")
-    assert parent.encode("local") == 0
-    assert parent.decode(WORKER_CODE_STRIDE + 9) == "local"
-    with pytest.raises(ValueError):
-        parent.register(NULL_CODE_BASE + 1, "never")
-
-
-def test_interner_rejects_base_in_null_region():
-    with pytest.raises(ValueError):
-        ValueInterner(base=NULL_CODE_BASE)
 
 
 # ---------------------------------------------------------------------------

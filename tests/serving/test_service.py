@@ -1,5 +1,7 @@
 """ExchangeService: protocol objects, transactions, locks, stats."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.chase.dependencies import parse_dependencies
@@ -281,6 +283,31 @@ def test_stats_snapshot_reports_sizes_counters_and_locks():
     assert service.stats("t").name == "t"
     with pytest.raises(KeyError):
         snapshot.scenario("missing")
+
+
+def test_services_sharing_a_scenario_name_each_observe_their_own():
+    """Two services may serve the same scenario name over different
+    sources: each one's ``metrics()`` and monitor read its own stats."""
+    a, b = ExchangeService(), ExchangeService()
+    a.register("x", employees_mapping(), employees_source())
+    monitor = a.start_monitor(start_thread=False)
+    try:
+        monitor.tick(at=0.0)
+        other_source = make_instance({"Emp": [("carol", "d3")]})
+        b.register("x", employees_mapping(), other_source)
+        own = asdict(a.stats("x"))
+        exported = a.metrics()["scenarios"]["x"]
+        assert exported["source_tuples"] == own["source_tuples"] == 3
+        assert exported["target_tuples"] == own["target_tuples"]
+        monitor.tick(at=1.0)
+        b.deregister("x")
+        assert a.metrics()["scenarios"]["x"]["source_tuples"] == 3
+        monitor.tick(at=2.0)
+        assert monitor.store.window("scenario.x.source_tuples", 3) == [
+            (0.0, 3.0), (1.0, 3.0), (2.0, 3.0),
+        ]
+    finally:
+        a.stop_monitor()
 
 
 def test_service_wraps_an_existing_registry_and_lifecycle():

@@ -13,9 +13,11 @@ kept re-litigating:
   callers (observability lives in ``repro.obs``), and a stray clock call
   per trigger poisons both the numbers and the cache behaviour.
 * ``lock-order`` — never acquire the registry/admin mutex while holding a
-  metrics-style ``_mutex``: the metrics snapshot path takes locks the
-  other way around, and the inversion deadlocks under concurrent
-  register/snapshot.
+  metrics-style ``_mutex``: ``Monitor.tick`` samples ``service.stats()``,
+  which takes scenario read locks (and the admin mutex on a lock miss),
+  outside its own ``_mutex`` precisely so that no path ever holds a
+  ``_mutex`` while waiting on the serving layer's locks; the inversion
+  would deadlock a tick against a concurrent register or writer.
 * ``routing-table`` — the raw routing-table attribute ``._table`` lives in
   ``src/repro/serving/elastic.py`` only; every other layer reads the
   epoch-versioned table through ``EpochRouter.snapshot()`` /
@@ -46,7 +48,7 @@ kept re-litigating:
 * ``layering`` — the packages of ``src/repro/`` form a DAG, kept as data in
   ``LAYERS``: each package imports only the packages listed for it
   (``relational`` nothing, ``logic`` relational, ``chase`` logic +
-  relational + obs, ``analysis`` chase + core + logic + relational,
+  relational, ``analysis`` chase + core + logic + relational,
   ``serving`` everything but workloads, ``workloads`` anything, …).  Every
   ``import``/``from … import`` counts, at any depth — function bodies and
   ``if TYPE_CHECKING:`` blocks included — so a guarded import is no way
@@ -115,7 +117,7 @@ LAYERS: dict[str, frozenset[str] | None] = {
     "relational": frozenset(),
     "logic": frozenset({"relational"}),
     "algebra": frozenset({"logic", "relational"}),
-    "chase": frozenset({"logic", "relational", "obs"}),
+    "chase": frozenset({"logic", "relational"}),
     "core": frozenset({"algebra", "chase", "logic", "relational"}),
     "reductions": frozenset({"core", "logic", "relational"}),
     "analysis": frozenset({"chase", "core", "logic", "relational"}),
