@@ -2,22 +2,30 @@
 
 Conjunctive queries (CQs) are the workhorse of data exchange: the paper's
 CQ-STDs have CQ bodies, and Proposition 3 shows that for positive queries
-certain answers reduce to naive evaluation.  The implementation here evaluates
-CQs by *index-aware* backtracking joins: at every step of the search the
-remaining atom with the smallest estimated candidate set is matched next, and
-candidates are read from the per-position hash indexes of
-:class:`~repro.relational.instance.Instance` whenever some position of the
-atom is already bound (a constant or a previously bound variable), instead of
-scanning the whole relation.  :func:`match_atoms_delta` additionally exposes a
-semi-naive entry point that enumerates only the assignments using at least one
-tuple from a given delta set — the primitive the incremental chase of
-:mod:`repro.chase.incremental` is built on.
+certain answers reduce to naive evaluation.  Two joins serve two needs:
+
+* **Evaluation** (:meth:`ConjunctiveQuery.evaluate` / ``naive_evaluate``,
+  and through them UCQs and the CQ-shaped path of ``Query.evaluate``)
+  wants only the distinct head tuples.  One compiled kernel,
+  :func:`_answers`, serves both storages: slots in a flat bindings list,
+  the greedy join order fixed once by :func:`_join_plan` (the order
+  :func:`greedy_join_order` reports to ``explain``), candidates from the
+  per-position hash indexes — value buckets of an
+  :class:`~repro.relational.instance.Instance`, code buckets of a
+  :class:`~repro.relational.interning.ColumnarInstance`.
+* **Enumeration** (:func:`match_atoms`, for ``holds``, DEQA and the chase)
+  yields every satisfying assignment, binding the atom with the smallest
+  estimated candidate set next.  :func:`match_atoms_delta` is its
+  semi-naive variant over the assignments that use at least one delta
+  tuple — the primitive of :mod:`repro.chase.incremental`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Iterator, Optional
+from functools import partial
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.logic.formulas import (
     And,
@@ -28,7 +36,7 @@ from repro.logic.formulas import (
     conjunction,
     free_variables,
 )
-from repro.logic.terms import Const, FuncTerm, Term, Var, term_tuple
+from repro.logic.terms import Const, Term, Var, term_tuple
 from repro.relational.domain import fresh_null, is_null
 from repro.relational.instance import Instance
 from repro.relational.interning import NULL_CODE_BASE, ColumnarInstance
@@ -83,24 +91,31 @@ def _atom_candidates(
     return best
 
 
-def _atom_estimate(atom: Atom, instance: Instance, assignment: dict[Var, Any]) -> float:
-    """Estimated candidate count for ``atom`` under ``assignment``.
+def _cardinality(instance: Instance, relation: str) -> int:
+    """``|relation|`` without forcing a coded instance's decoded mirror."""
+    if isinstance(instance, ColumnarInstance):
+        col = instance.columnar_relation(relation)
+        return 0 if col is None else len(col)
+    return len(instance._tuples(relation))
+
+
+def _atom_estimate(atom: Atom, instance: Instance, bound) -> float:
+    """Estimated candidate count for ``atom`` once the variables in ``bound`` are bound.
 
     The greedy planner's ranking statistic: the relation's cardinality,
     refined to the average bucket size of any bound position (constant term
-    or already-assigned variable).  Unlike probing the actual buckets —
-    which the planner previously did for *every* remaining atom at *every*
-    search node — the averages are cached per ``Instance.version()``
+    or variable in ``bound``, which is only membership-tested).  The averages
+    are cached per ``Instance.version()``
     (:meth:`~repro.relational.instance.Instance.bucket_estimate`), so on an
-    unchanged instance re-planning costs dict lookups.  Only the atom that
-    wins the ranking has its actual candidate set materialised.
+    unchanged instance planning costs dict lookups and materialises no
+    candidate set.
     """
-    estimate = float(len(instance._tuples(atom.relation)))
+    estimate = float(_cardinality(instance, atom.relation))
     for position, term in enumerate(atom.terms):
         if isinstance(term, Const):
             pass
         elif isinstance(term, Var):
-            if term not in assignment:
+            if term not in bound:
                 continue
         else:
             raise TypeError(f"function term {term!r} not allowed in CQ atoms")
@@ -112,48 +127,54 @@ def _atom_estimate(atom: Atom, instance: Instance, assignment: dict[Var, Any]) -
     return estimate
 
 
+def _cheapest(atoms: list[Atom], instance: Instance, bound) -> tuple[int, float]:
+    """Index and estimate of the first atom with the smallest :func:`_atom_estimate`."""
+    best_index, best = 0, _atom_estimate(atoms[0], instance, bound)
+    for i in range(1, len(atoms)):
+        if not best:
+            break
+        estimate = _atom_estimate(atoms[i], instance, bound)
+        if estimate < best:
+            best_index, best = i, estimate
+    return best_index, best
+
+
+def _join_plan(atoms: Iterable[Atom], instance: Instance) -> list[tuple[Atom, float]]:
+    """The static greedy join order, with each atom's estimate when it is bound.
+
+    Simulates variable binding: at each step the :func:`_cheapest` remaining
+    atom under the variables bound so far comes next.  Estimates depend only
+    on *which* variables are bound, never on their values, so this is the
+    order the per-node planner of :func:`match_atoms` reaches at every node,
+    and the one :func:`_answers` evaluates in.
+    """
+    remaining = list(atoms)
+    bound: set[Var] = set()
+    plan: list[tuple[Atom, float]] = []
+    while remaining:
+        index, estimate = _cheapest(remaining, instance, bound)
+        atom = remaining.pop(index)
+        plan.append((atom, estimate))
+        bound.update(term for term in atom.terms if isinstance(term, Var))
+    return plan
+
+
 def greedy_join_order(
     query: "ConjunctiveQuery", instance: Instance
 ) -> tuple[tuple[str, str, int, int], ...]:
-    """The static greedy join order the planner would bind, with cardinalities.
+    """The join order :meth:`ConjunctiveQuery.evaluate` binds, with cardinalities.
 
-    Replays the ranking of :func:`match_atoms` (and the columnar planner's
-    static level construction) by simulating variable binding: at each step
-    the remaining atom with the smallest :func:`_atom_estimate` under the
-    variables bound so far wins.  Returns one ``(atom, relation, estimate,
-    actual)`` entry per body atom in binding order, where ``estimate`` is
-    the planner's index-aware candidate estimate and ``actual`` the
-    relation's true cardinality — the explain layer's raw material.  Pure
-    read: no candidate set is materialised, no index is built beyond the
-    version-cached bucket statistics the planner itself uses.
+    One ``(atom, relation, estimate, actual)`` entry per body atom in the
+    order of :func:`_join_plan`, where ``estimate`` is the planner's
+    index-aware candidate estimate and ``actual`` the relation's true
+    cardinality — the explain layer's raw material.  Pure read: no candidate
+    set is materialised, no index is built beyond the version-cached bucket
+    statistics the planner itself uses.
     """
-    remaining = list(query.atoms)
-    # _atom_estimate only membership-tests the assignment, so dummy values
-    # stand in for the bindings a real evaluation would carry.
-    simulated: dict[Var, Any] = {}
-    steps: list[tuple[str, str, int, int]] = []
-    while remaining:
-        best_index = 0
-        best_estimate = _atom_estimate(remaining[0], instance, simulated)
-        for i in range(1, len(remaining)):
-            if not best_estimate:
-                break
-            estimate = _atom_estimate(remaining[i], instance, simulated)
-            if estimate < best_estimate:
-                best_index, best_estimate = i, estimate
-        atom = remaining.pop(best_index)
-        steps.append(
-            (
-                repr(atom),
-                atom.relation,
-                int(best_estimate),
-                len(instance._tuples(atom.relation)),
-            )
-        )
-        for term in atom.terms:
-            if isinstance(term, Var):
-                simulated[term] = True
-    return tuple(steps)
+    return tuple(
+        (repr(atom), atom.relation, int(estimate), _cardinality(instance, atom.relation))
+        for atom, estimate in _join_plan(query.atoms, instance)
+    )
 
 
 def _equalities_hold(
@@ -193,41 +214,45 @@ def match_atoms(
     parser and the composition algorithm's normal form).
 
     Over a :class:`~repro.relational.interning.ColumnarInstance` the same
-    enumeration runs entirely over int codes (:func:`_columnar_search`),
+    enumeration runs entirely over int codes (:func:`_columnar_run`),
     decoding to values only at the answer boundary.
     """
     assignment = dict(assignment or {})
     equalities = list(equalities or [])
     atoms = list(atoms)
-
-    if isinstance(instance, ColumnarInstance):
-        yield from _columnar_search(atoms, instance, assignment, equalities, None)
+    if not isinstance(instance, ColumnarInstance):
+        yield from _search(atoms, assignment, instance, equalities)
         return
+    compiled_atoms, compiled_eqs, slot_vars, seed, pseudo_values = _columnar_compile(
+        atoms, equalities, assignment, instance
+    )
+    tagged = [(relation, entries, "any") for relation, entries in compiled_atoms]
+    yield from _columnar_run(instance, tagged, compiled_eqs, slot_vars, seed, pseudo_values, {})
 
-    def search(remaining: list[Atom], current: dict[Var, Any]) -> Iterator[dict[Var, Any]]:
-        if not _equalities_hold(equalities, current):
-            return
-        if not remaining:
-            if not _equalities_hold(equalities, current, require_all_bound=True):
-                return
+
+# The recursive enumerations are module-level functions that recurse through
+# their global name, not closures that name themselves: a self-referencing
+# closure is a reference cycle, so every call would leave garbage for the
+# cyclic collector instead of being freed by reference counting.
+
+
+def _search(
+    remaining: list[Atom], current: dict[Var, Any], instance: Instance, equalities: list[Eq]
+) -> Iterator[dict[Var, Any]]:
+    """One node of :func:`match_atoms` over tuple sets."""
+    if not _equalities_hold(equalities, current):
+        return
+    if not remaining:
+        if _equalities_hold(equalities, current, require_all_bound=True):
             yield dict(current)
-            return
-        best_index = 0
-        best_estimate = _atom_estimate(remaining[0], instance, current)
-        for i in range(1, len(remaining)):
-            if not best_estimate:
-                break
-            estimate = _atom_estimate(remaining[i], instance, current)
-            if estimate < best_estimate:
-                best_index, best_estimate = i, estimate
-        atom = remaining[best_index]
-        rest = remaining[:best_index] + remaining[best_index + 1 :]
-        for values in _atom_candidates(atom, instance, current):
-            extended = _match_tuple(atom.terms, values, current)
-            if extended is not None:
-                yield from search(rest, extended)
-
-    yield from search(atoms, assignment)
+        return
+    best_index, _estimate = _cheapest(remaining, instance, current)
+    atom = remaining[best_index]
+    rest = remaining[:best_index] + remaining[best_index + 1 :]
+    for values in _atom_candidates(atom, instance, current):
+        extended = _match_tuple(atom.terms, values, current)
+        if extended is not None:
+            yield from _search(rest, extended, instance, equalities)
 
 
 def match_atoms_delta(
@@ -262,41 +287,7 @@ def match_atoms_delta(
             delta_by_rel.setdefault(name, set()).add(tuple(tup))
     if not delta_by_rel:
         return
-
-    # Each atom carries a mode: 'delta' | 'old' | 'any' (see pivot loop below).
-    def search(
-        remaining: list[tuple[Atom, str]], current: dict[Var, Any]
-    ) -> Iterator[dict[Var, Any]]:
-        if not _equalities_hold(equalities, current):
-            return
-        if not remaining:
-            if not _equalities_hold(equalities, current, require_all_bound=True):
-                return
-            yield dict(current)
-            return
-        # The 'delta' pivot atom is always expanded first (its candidate set
-        # is small by construction); greedy selection applies to the rest.
-        best_index = next((i for i, (_a, mode) in enumerate(remaining) if mode == "delta"), None)
-        if best_index is None:
-            best_size = None
-            for i, (atom, _mode) in enumerate(remaining):
-                size = _atom_estimate(atom, instance, current)
-                if best_size is None or size < best_size:
-                    best_index, best_size = i, size
-        atom, mode = remaining[best_index]
-        rest = remaining[:best_index] + remaining[best_index + 1 :]
-        rel_delta = delta_by_rel.get(atom.relation, set())
-        if mode == "delta":
-            candidates: Iterable[tuple] = rel_delta
-        else:
-            candidates = _atom_candidates(atom, instance, current)
-        for values in candidates:
-            if mode == "old" and values in rel_delta:
-                continue
-            extended = _match_tuple(atom.terms, values, current)
-            if extended is not None:
-                yield from search(rest, extended)
-
+    # Each atom carries a mode: 'delta' | 'old' | 'any' (see _delta_search).
     for pivot in range(len(atoms)):
         if atoms[pivot].relation not in delta_by_rel:
             continue
@@ -304,20 +295,65 @@ def match_atoms_delta(
             (atom, "delta" if i == pivot else ("old" if i < pivot else "any"))
             for i, atom in enumerate(atoms)
         ]
-        yield from search(tagged, dict(assignment))
+        yield from _delta_search(tagged, dict(assignment), instance, equalities, delta_by_rel)
 
 
-# -- columnar fast path ------------------------------------------------------
+def _delta_search(
+    remaining: list[tuple[Atom, str]],
+    current: dict[Var, Any],
+    instance: Instance,
+    equalities: list[Eq],
+    delta_by_rel: dict[str, set[tuple]],
+) -> Iterator[dict[Var, Any]]:
+    """One node of :func:`match_atoms_delta` over tuple sets."""
+    if not _equalities_hold(equalities, current):
+        return
+    if not remaining:
+        if _equalities_hold(equalities, current, require_all_bound=True):
+            yield dict(current)
+        return
+    # The 'delta' pivot atom is always expanded first (its candidate set is
+    # small by construction); greedy selection applies to the rest.
+    best_index = next((i for i, (_a, mode) in enumerate(remaining) if mode == "delta"), None)
+    if best_index is None:
+        best_index, _estimate = _cheapest([atom for atom, _mode in remaining], instance, current)
+    atom, mode = remaining[best_index]
+    rest = remaining[:best_index] + remaining[best_index + 1 :]
+    rel_delta = delta_by_rel.get(atom.relation, set())
+    if mode == "delta":
+        candidates: Iterable[tuple] = rel_delta
+    else:
+        candidates = _atom_candidates(atom, instance, current)
+    for values in candidates:
+        if mode == "old" and values in rel_delta:
+            continue
+        extended = _match_tuple(atom.terms, values, current)
+        if extended is not None:
+            yield from _delta_search(rest, extended, instance, equalities, delta_by_rel)
+
+
+# -- columnar enumeration ----------------------------------------------------
 #
-# Over a ColumnarInstance the backtracking join runs entirely over int codes:
-# variables compile to dense *slots* in a flat bindings list, constants to
-# their interned codes, and backtracking undoes bindings through a trail —
-# no per-candidate assignment-dict copy, no value hashing, no decoding until
-# an answer is actually yielded.  Constants the interner has never seen get
-# fresh *negative* pseudo-codes: they can never equal a stored code (all
-# stored codes are non-negative), yet compare consistently with Python
-# equality among themselves, so equality atoms behave exactly as in the
-# generic path.
+# Over a ColumnarInstance the backtracking enumeration of match_atoms runs
+# entirely over int codes: variables compile to dense *slots* in a flat
+# bindings list, constants to their interned codes, and backtracking undoes
+# bindings through a trail — no per-candidate assignment-dict copy, no value
+# hashing, no decoding until an answer is actually yielded.  Constants the
+# interner has never seen get fresh *negative* pseudo-codes: they can never
+# equal a stored code (all stored codes are non-negative), yet compare
+# consistently with Python equality among themselves, so equality atoms
+# behave exactly as in the generic path.
+
+
+def _pseudo_coder(interner) -> tuple[Callable[[Any], int], dict[Any, int]]:
+    """``code(value)``: the interned code, or a per-call negative pseudo-code."""
+    pseudo: dict[Any, int] = {}
+
+    def code(value: Any) -> int:
+        found = interner.code_of(value)
+        return pseudo.setdefault(value, -(len(pseudo) + 1)) if found is None else found
+
+    return code, pseudo
 
 
 def _columnar_compile(
@@ -327,30 +363,11 @@ def _columnar_compile(
     instance: "ColumnarInstance",
 ):
     """Compile atoms/equalities/seed bindings into slots and int codes."""
-    interner = instance.interner
-    pseudo: dict[Any, int] = {}
-    pseudo_values: dict[int, Any] = {}
-
-    def const_code(value: Any) -> int:
-        code = interner.code_of(value)
-        if code is None:
-            code = pseudo.get(value)
-            if code is None:
-                code = -(len(pseudo) + 1)
-                pseudo[value] = code
-                pseudo_values[code] = value
-        return code
-
-    slot_of: dict[Var, int] = {}
-    slot_vars: list[Var] = []
+    const_code, pseudo = _pseudo_coder(instance.interner)
+    slot_of: dict[Var, int] = {}  # in slot order
 
     def slot(var: Var) -> int:
-        index = slot_of.get(var)
-        if index is None:
-            index = len(slot_vars)
-            slot_of[var] = index
-            slot_vars.append(var)
-        return index
+        return slot_of.setdefault(var, len(slot_of))
 
     compiled_atoms: list[tuple[str, tuple[tuple[int, int, int], ...]]] = []
     for atom in atoms:
@@ -378,10 +395,11 @@ def _columnar_compile(
 
     for var in assignment:
         slot(var)
-    seed: list[int | None] = [None] * len(slot_vars)
+    seed: list[int | None] = [None] * len(slot_of)
     for var, value in assignment.items():
         seed[slot_of[var]] = const_code(value)
-    return compiled_atoms, compiled_eqs, slot_vars, seed, pseudo_values
+    pseudo_values = {code: value for value, code in pseudo.items()}
+    return compiled_atoms, compiled_eqs, list(slot_of), seed, pseudo_values
 
 
 def _columnar_run(
@@ -505,24 +523,13 @@ def _columnar_run(
             for slot in trail:
                 bindings[slot] = None
 
-    yield from search(tagged)
-
-
-def _columnar_search(
-    atoms: list[Atom],
-    instance: "ColumnarInstance",
-    assignment: dict[Var, Any],
-    equalities: list[Eq],
-    _delta: None,
-) -> Iterator[dict[Var, Any]]:
-    """`match_atoms` over interned columns (same contract, coded inner loop)."""
-    compiled_atoms, compiled_eqs, slot_vars, seed, pseudo_values = _columnar_compile(
-        atoms, equalities, assignment, instance
-    )
-    tagged = [(relation, entries, "any") for relation, entries in compiled_atoms]
-    yield from _columnar_run(
-        instance, tagged, compiled_eqs, slot_vars, list(seed), pseudo_values, {}
-    )
+    try:
+        yield from search(tagged)
+    finally:
+        # ``search`` names itself through its closure cell: empty the cell
+        # so the closures are freed by reference counting, not by the
+        # cyclic collector (also when the caller stops early).
+        search = None  # noqa: F841
 
 
 def _columnar_match_delta(
@@ -561,159 +568,163 @@ def _columnar_match_delta(
             for i, (relation, entries) in enumerate(compiled_atoms)
         ]
         yield from _columnar_run(
-            instance,
-            tagged,
-            compiled_eqs,
-            slot_vars,
-            list(seed),
-            pseudo_values,
-            delta_rows,
+            instance, tagged, compiled_eqs, slot_vars, list(seed), pseudo_values, delta_rows
         )
 
 
-def _columnar_coded_answers(
+# -- the evaluation kernel ---------------------------------------------------
+#
+# Variables and constants compile to slots of a flat bindings list (a
+# constant's slot is filled before the search and never rebound).  The join
+# order is fixed once, so which slots a level reads and which it binds is
+# known statically: a level needs no trail, only overwrites its own slots,
+# and checks each equality (a repeated variable within one atom becomes one)
+# at the first level that binds both of its sides.  Over a ColumnarInstance
+# the slots hold codes (negative pseudo-codes for unseen constants).
+
+
+def _answers(
     head: tuple[Var, ...],
     atoms: list[Atom],
     equalities: list[Eq],
-    instance: "ColumnarInstance",
-) -> tuple[set[tuple[int, ...]], dict[int, Any]]:
-    """Enumerate the *distinct* coded head tuples of a CQ body.
+    instance: Instance,
+    null_free: bool,
+) -> set[tuple]:
+    """The distinct ``head`` tuples of a CQ body (null-free ones if ``null_free``)."""
+    coded = isinstance(instance, ColumnarInstance)
+    code = _pseudo_coder(instance.interner)[0] if coded else None
+    bindings: list[Any] = []
+    known: set[int] = set()  # slots holding a value before the level being built
+    slot_of: dict[Var, int] = {}
 
-    This is the evaluate fast path: answers are deduplicated as tuples of int
-    codes and decoded once at the very end, so high-multiplicity joins never
-    build per-assignment ``{Var: value}`` dicts or decode duplicate answers.
-    The instance cannot change during the call, so each atom's column, index
-    dicts, and bucket estimates are resolved once up front rather than per
-    search node.
-    """
-    compiled_atoms, compiled_eqs, slot_vars, seed, pseudo_values = _columnar_compile(
-        atoms, equalities, {}, instance
-    )
-    slot_of = {var: index for index, var in enumerate(slot_vars)}
-    head_slots = tuple(slot_of[v] for v in head)
-    bindings: list[int | None] = list(seed)
-    answers: set[tuple[int, ...]] = set()
-    add_answer = answers.add
+    def slot(term: Term) -> int:
+        if isinstance(term, Var):
+            if term not in slot_of:
+                slot_of[term] = len(bindings)
+                bindings.append(None)
+            return slot_of[term]
+        if isinstance(term, Const):
+            known.add(len(bindings))
+            bindings.append(code(term.value) if coded else term.value)
+            return len(bindings) - 1
+        raise TypeError(f"function term {term!r} not allowed here")
 
-    # Per-atom prep: (entries, row_codes, index dicts and static estimates
-    # aligned with entries, base size).  A missing/mismatched column means the
-    # conjunction is unsatisfiable, full stop.
-    prepped = []
-    for relation, entries in compiled_atoms:
-        col = instance.columnar_relation(relation)
-        if col is None or col.arity != len(entries):
-            return answers, pseudo_values
-        indexes = tuple(col.index(position) for position, _slot, _code in entries)
-        estimates = tuple(
-            instance.bucket_estimate(relation, position)
-            for position, _slot, _code in entries
-        )
-        prepped.append((entries, col.row_codes, indexes, estimates, float(len(col))))
+    pending = []  # equalities not yet checked, as slot pairs
+    for eq in equalities:
+        left, right = slot(eq.left), slot(eq.right)
+        if left not in known or right not in known:
+            pending.append((left, right))
+        elif bindings[left] != bindings[right]:
+            return set()
 
-    # Static greedy join order: simulate slot binding once (the planner's
-    # first-visit decision at each depth), so the search loop itself carries
-    # no per-node estimation or remaining-list slicing.
     levels = []
-    pending = list(range(len(prepped)))
-    bound = [code is not None for code in seed]
-    while pending:
-        best_i, best_est = pending[0], None
-        for i in pending:
-            entries, _rc, _ix, estimates, size = prepped[i]
-            est = size
-            for k, (_position, slot, _code) in enumerate(entries):
-                if slot < 0 or bound[slot]:
-                    if estimates[k] < est:
-                        est = estimates[k]
-            if best_est is None or est < best_est:
-                best_i, best_est = i, est
-        levels.append(prepped[best_i])
-        pending.remove(best_i)
-        for _position, slot, _code in prepped[best_i][0]:
-            if slot >= 0:
-                bound[slot] = True
-    depth_count = len(levels)
-
-    def equalities_hold(require_all: bool) -> bool:
-        for (left_slot, left_code), (right_slot, right_code) in compiled_eqs:
-            left = left_code if left_slot < 0 else bindings[left_slot]
-            right = right_code if right_slot < 0 else bindings[right_slot]
-            if left is None or right is None:
-                if require_all:
-                    return False
+    for atom, _estimate in _join_plan(atoms, instance):
+        arity = len(atom.terms)
+        if coded:
+            col = instance.columnar_relation(atom.relation)
+            if col is None or col.arity != arity:
+                return set()
+            scan, fetch, index = col.row_codes, col.row_codes.__getitem__, col.index
+        else:
+            scan, fetch = instance._tuples(atom.relation), None
+            index = partial(instance._index, atom.relation)
+        probes, binds, bound_here = [], [], set()
+        for position, term in enumerate(atom.terms):
+            target = slot(term)
+            if target in known:
+                probes.append((position, target))
                 continue
-            if left != right:
-                return False
-        return True
+            if target in bound_here:
+                # A repeated variable: bind a fresh slot, check they are equal.
+                pending.append((target, len(bindings)))
+                target = len(bindings)
+                bindings.append(None)
+            binds.append((position, target))
+            bound_here.add(target)
+        known |= bound_here
+        ready = ()
+        if pending:
+            ready = tuple(pair for pair in pending if pair[0] in known and pair[1] in known)
+            pending = [pair for pair in pending if pair not in ready]
+        levels.append(
+            (
+                arity,
+                scan,
+                fetch,
+                tuple([(index(position), target) for position, target in probes]),
+                # A lone probe's bucket already fixes its position's value.
+                tuple(probes) if len(probes) > 1 else (),
+                tuple(binds),
+                ready,
+            )
+        )
+    if pending:
+        return set()  # some equality side is bound by no atom: never satisfied
+    if not levels:
+        return {()}
 
-    def search(depth: int) -> None:
-        if compiled_eqs and not equalities_hold(False):
-            return
-        if depth == depth_count:
-            if compiled_eqs and not equalities_hold(True):
-                return
-            add_answer(tuple(bindings[s] for s in head_slots))
-            return
-        entries, row_codes, indexes, _estimates, _size = levels[depth]
+    head_slots = [slot_of[var] for var in head]
+    answers: set = set()
+    project = itemgetter(*head_slots) if head_slots else _no_values
+    _descend(levels, 0, bindings, answers, project)
+    # Answers are tuples, or bare values for a one-variable head (what an
+    # itemgetter of one item returns).  Nulls and codes are found among the
+    # distinct values, not per answer.
+    single = len(head_slots) == 1
+    values = answers if single else set(itertools.chain.from_iterable(answers))
+    if coded:
+        drop = {v for v in values if v >= NULL_CODE_BASE} if null_free else ()
+        decode = instance.interner.decode
+        value_of = {v: decode(v) for v in values}.__getitem__
+    else:
+        drop = {v for v in values if is_null(v)} if null_free else ()
+        value_of = None
+    if single:
+        if value_of is None:
+            return {(v,) for v in answers if v not in drop}
+        return {(value_of(v),) for v in answers if v not in drop}
+    if drop:
+        answers = {t for t in answers if drop.isdisjoint(t)}
+    if value_of is None:
+        return answers
+    return {tuple(map(value_of, t)) for t in answers}
+
+
+def _no_values(_bindings: list) -> tuple:
+    return ()
+
+
+def _descend(levels: list, depth: int, bindings: list, answers: set, project) -> None:
+    """Bind ``levels[depth]`` to every matching candidate row, then go one level deeper."""
+    arity, rows, fetch, probes, checks, binds, equalities = levels[depth]
+    if probes:
         rows = None
-        for k, (_position, slot, code) in enumerate(entries):
-            probe = code if slot < 0 else bindings[slot]
-            if probe is None:
-                continue
-            if probe < 0:  # pseudo-code: unseen value, matches nothing stored
-                return
-            bucket = indexes[k].get(probe)
-            if bucket is None:
+        for index, slot in probes:
+            bucket = index.get(bindings[slot])
+            if bucket is None:  # no stored row holds the value (or pseudo-code)
                 return
             if rows is None or len(bucket) < len(rows):
                 rows = bucket
-        if rows is None:
-            rows = range(len(row_codes))
-        next_depth = depth + 1
-        for row in rows:
-            coded = row_codes[row]
-            trail: list[int] = []
-            matched = True
-            for position, slot, code in entries:
-                value = coded[position]
-                if slot < 0:
-                    if value != code:
-                        matched = False
-                        break
+        if fetch is not None:
+            rows = map(fetch, rows)
+    last = depth + 1 == len(levels)
+    for row in rows:
+        if len(row) != arity:  # schema-less relations may mix arities
+            continue
+        for position, slot in checks:
+            if row[position] != bindings[slot]:
+                break
+        else:
+            for position, slot in binds:
+                bindings[slot] = row[position]
+            for left, right in equalities:
+                if bindings[left] != bindings[right]:
+                    break
+            else:
+                if last:
+                    answers.add(project(bindings))
                 else:
-                    bound = bindings[slot]
-                    if bound is None:
-                        bindings[slot] = value
-                        trail.append(slot)
-                    elif bound != value:
-                        matched = False
-                        break
-            if matched:
-                search(next_depth)
-            for slot in trail:
-                bindings[slot] = None
-
-    search(0)
-    return answers, pseudo_values
-
-
-def _decode_answer_set(
-    instance: "ColumnarInstance",
-    coded: set[tuple[int, ...]],
-    pseudo_values: dict[int, Any],
-) -> set[tuple]:
-    """Decode a set of coded answer tuples in bulk (one lookup per distinct code)."""
-    if not coded:
-        return set()
-    distinct: set[int] = set()
-    for tup in coded:
-        distinct.update(tup)
-    decode = instance.interner.decode
-    value_map = {
-        code: (pseudo_values[code] if code < 0 else decode(code)) for code in distinct
-    }
-    getter = value_map.__getitem__
-    return {tuple(map(getter, tup)) for tup in coded}
+                    _descend(levels, depth + 1, bindings, answers, project)
 
 
 def decompose_exists_cq(
@@ -832,15 +843,7 @@ class ConjunctiveQuery:
 
     def evaluate(self, instance: Instance) -> set[tuple]:
         """All answer tuples over ``instance`` (nulls treated as plain values)."""
-        if isinstance(instance, ColumnarInstance):
-            coded, pseudo_values = _columnar_coded_answers(
-                self.head, self.atoms, self.equalities, instance
-            )
-            return _decode_answer_set(instance, coded, pseudo_values)
-        answers: set[tuple] = set()
-        for assignment in match_atoms(self.atoms, instance, equalities=self.equalities):
-            answers.add(tuple(assignment[v] for v in self.head))
-        return answers
+        return _answers(self.head, self.atoms, self.equalities, instance, null_free=False)
 
     def naive_evaluate(self, instance: Instance) -> set[tuple]:
         """Naive evaluation: evaluate treating nulls as values, keep null-free answers.
@@ -849,13 +852,7 @@ class ConjunctiveQuery:
         ``Q(T)`` of the query over the naive table ``T`` (Imieliński–Lipski),
         which is what Proposition 3 relies on.
         """
-        if isinstance(instance, ColumnarInstance):
-            coded, pseudo_values = _columnar_coded_answers(
-                self.head, self.atoms, self.equalities, instance
-            )
-            null_free = {t for t in coded if not t or max(t) < NULL_CODE_BASE}
-            return _decode_answer_set(instance, null_free, pseudo_values)
-        return {t for t in self.evaluate(instance) if not any(is_null(v) for v in t)}
+        return _answers(self.head, self.atoms, self.equalities, instance, null_free=True)
 
     def holds(self, instance: Instance, assignment: dict[Var, Any] | None = None) -> bool:
         """Boolean-query satisfaction (optionally with some variables pre-bound)."""
@@ -923,7 +920,10 @@ class UnionOfConjunctiveQueries:
         return out
 
     def naive_evaluate(self, instance: Instance) -> set[tuple]:
-        return {t for t in self.evaluate(instance) if not any(is_null(v) for v in t)}
+        out: set[tuple] = set()
+        for cq in self.disjuncts:
+            out |= cq.naive_evaluate(instance)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return " ∪ ".join(map(repr, self.disjuncts))
@@ -937,8 +937,3 @@ def cq(head: Iterable[str], body: Iterable[tuple[str, Iterable[Any]]], name: str
     """
     atoms = [Atom(rel, term_tuple(terms)) for rel, terms in body]
     return ConjunctiveQuery(head, atoms, name=name)
-
-
-def product_pool(domain: Iterable[Any], arity: int) -> Iterator[tuple]:
-    """All tuples of the given arity over ``domain`` (used by test oracles)."""
-    return itertools.product(list(domain), repeat=arity)

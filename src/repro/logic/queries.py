@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
-from repro.logic.evaluation import query_answers
+from repro.logic.cq import _answers, decompose_exists_cq, match_atoms
+from repro.logic.evaluation import evaluate, evaluation_domain, query_answers
 from repro.logic.formulas import (
-    And,
     Atom,
     Eq,
-    Exists,
     Formula,
     free_variables,
     is_existential,
@@ -23,7 +22,7 @@ from repro.logic.formulas import (
     quantifier_rank,
 )
 from repro.logic.parser import parse_formula
-from repro.logic.terms import Const, Var
+from repro.logic.terms import Var
 from repro.relational.domain import is_null
 from repro.relational.instance import Instance
 
@@ -31,36 +30,18 @@ from repro.relational.instance import Instance
 def _conjunctive_parts(formula: Formula) -> Optional[tuple[list[Atom], list[Eq]]]:
     """Decompose an ∃-prefixed conjunction of atoms/equalities, if it is one.
 
-    Returns ``(atoms, equalities)`` when the formula is CQ-shaped *and* every
-    variable occurs in some relational atom with Var/Const terms only — the
-    precondition for evaluating it with the index-aware join of
-    :func:`repro.logic.cq.match_atoms` instead of active-domain quantification.
-    Returns ``None`` otherwise.
+    Returns ``(atoms, equalities)`` when :func:`~repro.logic.cq.decompose_exists_cq`
+    accepts the formula *and* every equality variable occurs in some atom —
+    the precondition for evaluating it with a join instead of active-domain
+    quantification.  Returns ``None`` otherwise.
     """
-    body = formula
-    while isinstance(body, Exists):
-        body = body.body
-    atoms: list[Atom] = []
-    equalities: list[Eq] = []
-    stack = [body]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, And):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, Atom):
-            if not all(isinstance(t, (Var, Const)) for t in node.terms):
-                return None
-            atoms.append(node)
-        elif isinstance(node, Eq):
-            equalities.append(node)
-        else:
-            return None
-    atom_vars: set[Var] = set()
-    for atom in atoms:
-        atom_vars |= free_variables(atom)
-    for eq in equalities:
-        if not free_variables(eq) <= atom_vars:
-            return None
+    parts = decompose_exists_cq(formula)
+    if parts is None:
+        return None
+    atoms, equalities, _quantified = parts
+    atom_vars = {v for atom in atoms for v in free_variables(atom)}
+    if any(not free_variables(eq) <= atom_vars for eq in equalities):
+        return None
     return atoms, equalities
 
 
@@ -136,10 +117,10 @@ class Query:
         """Evaluate naively (nulls as plain values), returning all answer tuples.
 
         CQ-shaped formulas whose answer variables are all *free* in the
-        formula are routed through the index-aware join of
-        :func:`repro.logic.cq.match_atoms` (when no explicit ``domain``
-        restriction is given).  Answer variables that are absent or shadowed
-        by a quantifier range over the evaluation domain under the reference
+        formula are evaluated by the compiled join kernel of
+        :mod:`repro.logic.cq` (when no explicit ``domain`` restriction is
+        given).  Answer variables that are absent or shadowed by a
+        quantifier range over the evaluation domain under the reference
         semantics, which a join cannot reproduce, so those fall back to
         active-domain evaluation — as does everything non-CQ.
         """
@@ -147,12 +128,7 @@ class Query:
             parts = self._cq_parts()
             if parts is not None and set(self.answer_variables) <= free_variables(self.formula):
                 atoms, equalities = parts
-                from repro.logic.cq import match_atoms
-
-                return {
-                    tuple(a[v] for v in self.answer_variables)
-                    for a in match_atoms(atoms, instance, equalities=equalities)
-                }
+                return _answers(self.answer_variables, atoms, equalities, instance, False)
         return query_answers(self.formula, self.answer_variables, instance, domain=domain)
 
     def naive_evaluate(self, instance: Instance, domain: Iterable[Any] | None = None) -> set[tuple]:
@@ -167,8 +143,6 @@ class Query:
         """Does ``answer ∈ Q(instance)`` under naive evaluation of the formula?"""
         if len(answer) != self.arity:
             raise ValueError(f"answer arity {len(answer)} != query arity {self.arity}")
-        from repro.logic.evaluation import evaluate, evaluation_domain
-
         assignment = dict(zip(self.answer_variables, answer))
         if domain is None:
             parts = self._cq_parts()
@@ -180,8 +154,6 @@ class Query:
                 atom_vars = {v for atom in atoms for v in free_variables(atom)}
                 shadowed = atom_vars - free_variables(self.formula)
                 if not (set(self.answer_variables) & shadowed):
-                    from repro.logic.cq import match_atoms
-
                     return (
                         next(match_atoms(atoms, instance, assignment, equalities), None)
                         is not None

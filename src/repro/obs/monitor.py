@@ -138,14 +138,14 @@ class TimeSeriesStore:
 
         Counters and histogram counts become ``<name>.rate`` series;
         gauges, histogram means and quantiles become levels.  ``stats``
-        is a :class:`~repro.serving.service.ServiceStats` (duck-typed):
-        its ``epoch`` becomes ``service.epoch`` and each scenario's stats
-        are flattened via ``asdict`` into ``scenario.<name>.<path>`` —
-        numeric scalars only; bools, strings and sequences are skipped
-        so per-shard tuples don't explode the series population.
+        is a :class:`~repro.serving.service.ServiceStats` (duck-typed): its
+        ``instruments`` join the registry's, ``epoch`` becomes ``service.epoch``
+        and each scenario's stats flatten via ``asdict`` into
+        ``scenario.<name>.<path>`` — numeric scalars only; bools, strings and
+        sequences are skipped so per-shard tuples don't explode the series.
         """
         before = len(self._series)
-        for name, inst in snapshot.get("instruments", {}).items():
+        for name, inst in {**snapshot.get("instruments", {}), **stats.instruments}.items():
             kind = inst.get("type")
             if kind == "counter":
                 self._record_rate(f"{name}.rate", at, float(inst["value"]))
@@ -767,7 +767,7 @@ class Monitor:
     Holds the service only weakly: once the service is
     garbage-collected the next tick observes the dead reference and the
     thread stops itself.  Each tick reads the instruments from
-    ``registry`` and the scenarios from ``service.stats()``.
+    ``registry``, and the scenarios and latencies from ``service.stats()``.
     ``tick(at=...)`` may also be driven manually — the CLI and the
     tests do — in which case no thread is involved at all.
     """

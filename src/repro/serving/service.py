@@ -43,8 +43,8 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Iterable, Iterator, Sequence
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis import (
     AnalysisReport,
@@ -60,7 +60,7 @@ from repro.core.certain import AnyQuery
 from repro.core.mapping import SchemaMapping
 from repro.obs.explain import QueryExplain
 from repro.obs.flight import FLIGHT_RECORDER
-from repro.obs.metrics import METRICS
+from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.monitor import (
     AutoRebalance,
     HealthReport,
@@ -92,14 +92,6 @@ from repro.serving.sharding import ShardedExchange, ShardingStats
 
 FactInput = tuple[str, Iterable[Any]]
 
-# Module-level instrument handles: resolving by name costs a registry
-# lookup under its mutex, so the per-request path binds them once here.
-_QUERY_EVALUATE = METRICS.histogram(
-    "service.query.evaluate_seconds", "answer() time per served query"
-)
-_UPDATE_APPLY = METRICS.histogram(
-    "service.update.apply_seconds", "apply_delta() time per committed scenario batch"
-)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +202,8 @@ class ServiceStats:
     scenarios: tuple[ScenarioStats, ...]
     # The epoch watermark at snapshot time (see QueryResult.epoch).
     epoch: int = 0
+    # The service's own latency histograms, as in a registry snapshot.
+    instruments: Mapping[str, Any] = field(default_factory=dict)
 
     def scenario(self, name: str) -> ScenarioStats:
         for stats in self.scenarios:
@@ -320,7 +314,7 @@ class Transaction:
                     after = exchange.update_stats
                     elapsed = time.perf_counter() - start
                     if METRICS.enabled:
-                        _UPDATE_APPLY.observe(elapsed)
+                        service._update_apply.observe(elapsed)
                     self.results[name] = UpdateResult(
                         scenario=name,
                         added=applied.added,
@@ -406,6 +400,10 @@ class ExchangeService:
         # query hot path pays one attribute read while these are None.
         self._monitor: Monitor | None = None
         self._slow_log: SlowQueryLog | None = None
+        # This service's own latency histograms: its monitor reads no other's.
+        self._latency = MetricsRegistry()
+        self._query_evaluate = self._latency.histogram("service.query.evaluate_seconds")
+        self._update_apply = self._latency.histogram("service.update.apply_seconds")
         for name in self._registry.names():
             self._locks[name] = ReadWriteLock()
 
@@ -622,7 +620,7 @@ class ExchangeService:
         lock_wait = locked_at - start
         evaluate = done - locked_at
         if METRICS.enabled:
-            _QUERY_EVALUATE.observe(evaluate)
+            self._query_evaluate.observe(evaluate)
         if slow_hit and (slow_log := self._slow_log) is not None:
             slow_log.record(
                 scenario=request.scenario,
@@ -758,7 +756,8 @@ class ExchangeService:
                 # of failing the monitoring caller.  (Asking for one scenario
                 # by name still raises — that caller named it on purpose.)
                 continue
-        return ServiceStats(tuple(collected), epoch=self._epoch.current())
+        instruments = self._latency.snapshot()["instruments"]
+        return ServiceStats(tuple(collected), self._epoch.current(), instruments)
 
     def _scenario_stats(self, name: str) -> ScenarioStats:
         lock, exchange = self._read_locked_exchange(name)
@@ -1035,15 +1034,16 @@ class ExchangeService:
         return report(name, diagnostics)
 
     def metrics(self) -> dict[str, Any]:
-        """The process-wide instruments plus this service's scenario stats.
+        """The process-wide instruments plus this service's own stats.
 
-        ``instruments`` is ``repro.obs.METRICS.snapshot()``; ``scenarios``
-        maps each scenario to its :class:`ScenarioStats` as a dict, from
-        :meth:`stats` (each taken under its own read lock).
+        ``instruments`` is ``repro.obs.METRICS.snapshot()`` plus this
+        service's latency histograms; ``scenarios`` maps each scenario to
+        its :class:`ScenarioStats` as a dict, from :meth:`stats`.
         """
+        stats = self.stats()
         return {
-            **METRICS.snapshot(),
-            "scenarios": {s.name: asdict(s) for s in self.stats().scenarios},
+            "instruments": {**METRICS.snapshot()["instruments"], **stats.instruments},
+            "scenarios": {s.name: asdict(s) for s in stats.scenarios},
         }
 
     def __iter__(self) -> Iterator[str]:

@@ -310,6 +310,38 @@ def test_services_sharing_a_scenario_name_each_observe_their_own():
         a.stop_monitor()
 
 
+def test_a_services_monitor_reads_only_its_own_latencies():
+    """Service B's queries and updates never show in idle service A's
+    latency series (the series the p99 and epoch-stall rules read)."""
+    a, b = ExchangeService(), ExchangeService()
+    a.register("x", employees_mapping(), employees_source())
+    b.register("y", employees_mapping(), employees_source())
+    query = cq(["e"], [("EmpT", ["e", "d"])])
+    monitor = a.start_monitor(start_thread=False)
+    try:
+        monitor.tick(at=0.0)
+        for _ in range(50):
+            b.query("y", query)
+        b.update("y", add=[("Emp", ("dave", "d4"))])
+        monitor.tick(at=1.0)
+        assert monitor.store.window("service.query.evaluate_seconds.rate", 1) == [
+            (1.0, 0.0)
+        ]
+        assert monitor.store.window("service.update.apply_seconds.rate", 1) == [
+            (1.0, 0.0)
+        ]
+        assert b.stats().instruments["service.query.evaluate_seconds"]["count"] == 50
+        exported = b.metrics()["instruments"]["service.query.evaluate_seconds"]
+        assert exported["count"] == 50
+        a.query("x", query)
+        monitor.tick(at=2.0)
+        assert monitor.store.window("service.query.evaluate_seconds.rate", 1) == [
+            (2.0, 1.0)
+        ]
+    finally:
+        a.stop_monitor()
+
+
 def test_service_wraps_an_existing_registry_and_lifecycle():
     from repro.serving import ScenarioRegistry
 
